@@ -25,7 +25,8 @@
 // (bench/harness.hpp), which writes the BENCH_engine_throughput.json
 // host-performance baseline for scripts/bench_compare.py.
 //
-// Exit status: 1 on any determinism violation; 1 if the default (no-args)
+// Exit status: 2 on a malformed or unknown argument (after printing the
+// usage); 1 on any determinism violation; 1 if the default (no-args)
 // run on a machine with >= 4 hardware threads fails the >= 3x speedup
 // target (ISSUE 1 acceptance); 0 otherwise.  With explicit ops/threads
 // arguments, or on boxes with fewer cores, the speedup is reported but not
@@ -34,8 +35,10 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
+#include "common/cli.hpp"
 #include "engine/sim_engine.hpp"
 #include "harness.hpp"
 #include "telemetry/report.hpp"
@@ -84,17 +87,37 @@ std::uint64_t results_fingerprint(const std::vector<PFloat>& results) {
   return h;
 }
 
+/// Prints `why` (if any) and the usage text; exits 2 on an error, 0 for
+/// --help.
+[[noreturn]] void usage(const std::string& why) {
+  if (!why.empty())
+    std::fprintf(stderr, "engine_throughput: %s\n", why.c_str());
+  std::fprintf(stderr,
+               "usage: engine_throughput [OPS [THREADS>=1]] [--json PATH] "
+               "[--csv PATH] [--trace PATH]\n       %s\n",
+               kHarnessUsage);
+  std::exit(why.empty() ? 0 : 2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
-  const std::uint64_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                   : 1000000ull;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--help" || a == "-h") usage("");
+    if (a[0] == '-') usage("unknown argument " + a);
+  }
+  if (argc > 3) usage("too many arguments");
+  std::uint64_t n = 1000000;
+  if (argc > 1 && !parse_count(argv[1], &n))
+    usage(std::string("OPS must be a decimal count, got '") + argv[1] + "'");
   const unsigned hw = std::thread::hardware_concurrency();
-  const int par = argc > 2     ? std::atoi(argv[2])
-                  : hopts.workers > 0 ? hopts.workers
-                                      : (int)(hw > 4 ? hw : 4);
+  int par = hopts.workers > 0 ? hopts.workers : (int)(hw > 4 ? hw : 4);
+  if (argc > 2 && (!parse_count(argv[2], &par) || par < 1))
+    usage(std::string("THREADS must be an integer >= 1, got '") + argv[2] +
+          "'");
   // The engine clamps workers to the host's hardware threads; surface the
   // clamp here so a "parallel" row on a small box reads as what it is.
   const int hw_threads = hw == 0 ? 1 : (int)hw;

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "energy/workload.hpp"
 #include "harness.hpp"
@@ -96,14 +97,31 @@ PFloat discrete(const Inputs& in, const FloatFormat& fmt, int n) {
   return x1;
 }
 
+/// Prints `why` (if any) and the usage text; exits 2 on an error, 0 for
+/// --help.
+[[noreturn]] void usage(const std::string& why) {
+  if (!why.empty()) std::fprintf(stderr, "fig14_accuracy: %s\n", why.c_str());
+  std::fprintf(stderr,
+               "usage: fig14_accuracy [--threads N>=1] [--json PATH] "
+               "[--csv PATH] [--trace PATH]\n       %s\n",
+               kHarnessUsage);
+  std::exit(why.empty() ? 0 : 2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
   int threads = hopts.workers > 0 ? hopts.workers : 1;  // --workers alias
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") threads = std::atoi(argv[i + 1]);
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--help" || a == "-h") usage("");
+    if (a != "--threads") usage("unknown argument " + a);
+    if (i + 1 >= argc) usage("--threads needs a value");
+    if (!parse_count(argv[++i], &threads) || threads < 1)
+      usage(std::string("--threads needs an integer >= 1, got '") + argv[i] +
+            "'");
   }
   const int kRuns = 20, kDepth = 50;
   const std::uint64_t kSeed = 424242;

@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
+#include "common/cli.hpp"
 #include "telemetry/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -62,40 +62,65 @@ RobustStats robust_stats(const std::vector<double>& samples, double k) {
   return r;
 }
 
+const char* const kHarnessUsage =
+    "[--reps N>=1] [--warmup N] [--workers N] [--backend scalar|sliced]\n"
+    "       [--bench-out PATH | --no-bench-out] [--progress] "
+    "[--no-hw-counters]";
+
+namespace {
+
+[[noreturn]] void harness_usage_error(const char* prog,
+                                      const std::string& why) {
+  std::fprintf(stderr, "%s: %s\nbench flags: %s\n", prog, why.c_str(),
+               kHarnessUsage);
+  std::exit(2);
+}
+
+}  // namespace
+
 HarnessOptions extract_harness_args(int& argc, char** argv) {
   HarnessOptions opts;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(a, "--reps") == 0 && has_value) {
-      opts.reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--warmup") == 0 && has_value) {
-      opts.warmup = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--bench-out") == 0 && has_value) {
-      opts.bench_out = argv[++i];
-    } else if (std::strcmp(a, "--no-bench-out") == 0) {
-      opts.bench_out = "-";
-    } else if (std::strcmp(a, "--progress") == 0) {
-      opts.progress = true;
-    } else if (std::strcmp(a, "--no-hw-counters") == 0) {
-      opts.hw_counters = false;
-    } else if (std::strcmp(a, "--backend") == 0 && has_value) {
-      if (!parse_engine_backend(argv[++i], &opts.backend)) {
-        std::fprintf(stderr, "unknown --backend '%s' (scalar|sliced)\n",
-                     argv[i]);
-        std::exit(2);
+    const std::string a = argv[i];
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) harness_usage_error(argv[0], a + " needs a value");
+      return argv[++i];
+    };
+    auto count = [&](int min) {
+      const char* v = value();
+      int n = 0;
+      if (!parse_count(v, &n) || n < min) {
+        harness_usage_error(argv[0], a + " needs an integer >= " +
+                                         std::to_string(min) + ", got '" + v +
+                                         "'");
       }
-    } else if (std::strcmp(a, "--workers") == 0 && has_value) {
-      opts.workers = std::atoi(argv[++i]);
+      return n;
+    };
+    if (a == "--reps") {
+      opts.reps = count(1);
+    } else if (a == "--warmup") {
+      opts.warmup = count(0);
+    } else if (a == "--workers") {
+      opts.workers = count(0);
+    } else if (a == "--bench-out") {
+      opts.bench_out = value();
+    } else if (a == "--no-bench-out") {
+      opts.bench_out.assign(1, '-');
+    } else if (a == "--progress") {
+      opts.progress = true;
+    } else if (a == "--no-hw-counters") {
+      opts.hw_counters = false;
+    } else if (a == "--backend") {
+      const char* v = value();
+      if (!parse_engine_backend(v, &opts.backend))
+        harness_usage_error(argv[0], "unknown --backend '" + std::string(v) +
+                                         "' (scalar|sliced)");
     } else {
       argv[out++] = argv[i];
     }
   }
   argc = out;
-  if (opts.reps < 1) opts.reps = 1;
-  if (opts.warmup < 0) opts.warmup = 0;
-  if (opts.workers < 0) opts.workers = 0;
   return opts;
 }
 

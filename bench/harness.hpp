@@ -77,8 +77,14 @@ struct HarnessOptions {
 /// removes `--reps <n>`, `--warmup <n>`, `--bench-out <path>`,
 /// `--no-bench-out`, `--progress`, `--no-hw-counters`,
 /// `--backend <scalar|sliced>` and `--workers <n>` from argv so
-/// positional argument parsing stays untouched.
+/// positional argument parsing stays untouched.  A missing value, a count
+/// that is not a decimal integer in range (--reps >= 1, --warmup and
+/// --workers >= 0) or an unknown backend prints the flag usage to stderr
+/// and exits with status 2.
 HarnessOptions extract_harness_args(int& argc, char** argv);
+
+/// The flags extract_harness_args() understands, for a bench's usage text.
+extern const char* const kHarnessUsage;
 
 class BenchHarness {
  public:

@@ -145,7 +145,10 @@ int main(int argc, char** argv) {
       for (const auto& [name, t] : pcs.by_component) {
         if (!first) by_comp += ',';
         first = false;
-        by_comp += "\"" + json_escape(name) + "\":" + json_double(t);
+        by_comp += '"';
+        by_comp += json_escape(name);
+        by_comp += "\":";
+        by_comp += json_double(t);
       }
       by_comp += "}";
       report.section("pcs_by_component", by_comp);
@@ -160,16 +163,21 @@ int main(int argc, char** argv) {
         first_arch = false;
         std::uint64_t total = 0;
         for (const auto& [stage, t] : row.m->stage_toggles) total += t;
-        stage_json += "\"" + json_escape(row.name) +
-                      "\":{\"total_toggles\":" + std::to_string(total) +
-                      ",\"ops\":" + std::to_string(row.m->ops) +
-                      ",\"stages\":{";
+        stage_json += '"';
+        stage_json += json_escape(row.name);
+        stage_json += "\":{\"total_toggles\":";
+        stage_json += std::to_string(total);
+        stage_json += ",\"ops\":";
+        stage_json += std::to_string(row.m->ops);
+        stage_json += ",\"stages\":{";
         bool first_stage = true;
         for (const auto& [stage, t] : row.m->stage_toggles) {
           if (!first_stage) stage_json += ',';
           first_stage = false;
-          stage_json +=
-              "\"" + json_escape(stage) + "\":" + std::to_string(t);
+          stage_json += '"';
+          stage_json += json_escape(stage);
+          stage_json += "\":";
+          stage_json += std::to_string(t);
         }
         stage_json += "}}";
       }

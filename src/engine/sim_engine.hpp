@@ -131,6 +131,22 @@ class ChainSource {
   virtual void fill_chain(std::uint64_t chain, ChainedOp* out) const = 0;
 };
 
+/// The operand bits a chained op stamps into the event log: the IEEE input
+/// `v`, or, when `ref` >= 0, the IEEE readout of the chain result it
+/// chains from (`readouts` is indexed within the chain).
+std::uint64_t chain_operand_bits(const PFloat& v, std::int64_t ref,
+                                 const PFloat* readouts);
+
+/// The chain walk behind SimEngine::run_chained and run_watched_chained:
+/// simulate ops[j0, j1) of one chain on `unit`, ops[0, j0) having already
+/// run.  Op j resolves its refs against `natives` (the unlowered results,
+/// fed forward), begin_op-stamps `events` (if non-null) as stream op
+/// base_index + j, and stores its native result in natives[j] and its
+/// IEEE readout in readouts[j].  Both arrays are chain-long.
+void simulate_chain(FmaUnit& unit, const ChainedOp* ops, std::size_t j0,
+                    std::size_t j1, std::uint64_t base_index, Round rm,
+                    EventLog* events, FmaOperand* natives, PFloat* readouts);
+
 /// Heartbeat snapshot for long runs, handed to EngineConfig::progress.
 /// ops_per_sec and eta_seconds use safe_rate-style guards: they are 0
 /// until enough has happened to divide by.
@@ -165,12 +181,14 @@ struct EngineConfig {
   std::uint64_t shard_ops = 8192;
   /// Optional telemetry sinks (not owned; must outlive the run).  When
   /// null the engine's only telemetry cost is a pointer test per shard.
-  /// Metrics: engine.ops / engine.shards counters and an engine.shard.ops
-  /// histogram (all Deterministic — thread-count invariant), plus
-  /// engine.shard.seconds / engine.consume_wait.seconds histograms and
-  /// engine.worker.<w>.utilization gauges (Timing).  Trace: per-shard
-  /// claim/fill/simulate/consume spans on the worker's lane and a final
-  /// merge span.
+  /// Batch, stream and chained runs record the same set.  Metrics:
+  /// engine.ops / engine.shards counters and an engine.shard.ops histogram
+  /// (all Deterministic — thread-count invariant), plus
+  /// engine.shard.seconds / engine.consume_wait.seconds histograms,
+  /// engine.worker.<w>.utilization and engine.batch.* gauges (Timing).
+  /// Trace: a span per shard on the worker's lane (with fill/simulate and,
+  /// when streaming, consume children for IEEE runs) and a final merge
+  /// span.
   MetricsRegistry* metrics = nullptr;
   TraceSession* trace = nullptr;
   /// Host-performance profiler (telemetry/perf.hpp; not owned).  Each
@@ -208,7 +226,7 @@ struct ShardStats {
   std::uint64_t start = 0;  // index of the shard's first operation
   std::uint64_t ops = 0;
   int worker = 0;        // worker thread that simulated the shard
-  double seconds = 0.0;  // simulation time of this shard
+  double seconds = 0.0;  // time in the shard kernel (fill + simulate)
   double ops_per_sec = 0.0;
 };
 
@@ -282,10 +300,6 @@ class SimEngine {
   BatchResult run_chained(const ChainSource& src) const;
 
  private:
-  void run_shards(const OperandSource& src, PFloat* results,
-                  const ConsumeFn* consume, ActivityRecorder* activity,
-                  EventLog* events, BatchStats* stats) const;
-
   EngineConfig cfg_;
   int threads_;
   bool threads_clamped_ = false;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "introspect/event_log.hpp"
 #include "introspect/hooks.hpp"
 #include "introspect/signal_tap.hpp"
@@ -43,21 +44,35 @@ bool parse_unit_kind(const std::string& name, UnitKind* out) {
   return false;
 }
 
+namespace {
+
+[[noreturn]] void watch_usage_error(const std::string& why) {
+  std::fprintf(stderr,
+               "%s\nusage: --vcd FILE --watch OP-INDEX "
+               "[--unit discrete|classic|pcs|fcs]\n",
+               why.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 WatchOptions extract_watch_args(std::vector<std::string>& args) {
   WatchOptions opts;
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--vcd" || a == "--watch" || a == "--unit") {
-      CSFMA_CHECK_MSG(i + 1 < args.size(), "missing value after --vcd/--watch/--unit");
+      if (i + 1 >= args.size()) watch_usage_error(a + " needs a value");
       const std::string& v = args[++i];
       if (a == "--vcd") {
         opts.vcd_path = v;
       } else if (a == "--watch") {
-        opts.watch_op = (std::uint64_t)std::strtoull(v.c_str(), nullptr, 10);
+        if (!parse_count(v, &opts.watch_op))
+          watch_usage_error("--watch needs an operation index, got '" + v +
+                            "'");
       } else {
-        CSFMA_CHECK_MSG(parse_unit_kind(v, &opts.unit),
-                        "--unit must be one of: discrete classic pcs fcs");
+        if (!parse_unit_kind(v, &opts.unit))
+          watch_usage_error("unknown --unit '" + v + "'");
         opts.unit_set = true;
       }
     } else {
@@ -118,28 +133,21 @@ PFloat run_watched_chained(const WatchOptions& opts, const ChainSource& src,
   auto unit = make_fma_unit(opts.unit, nullptr, &hooks);
 
   std::vector<FmaOperand> natives((std::size_t)opc);
-  PFloat watched;
-  for (std::uint64_t j = 0; j <= jw; ++j) {
-    const ChainedOp& op = ops[(std::size_t)j];
-    CSFMA_CHECK(op.a_ref < (std::int64_t)j && op.c_ref < (std::int64_t)j);
-    if (j == jw) {
-      hooks.tap = &tap;
-      hooks.events = &events;
-      tap.begin_op(opts.watch_op);
-      events.begin_op(opts.watch_op, op.a.to_bits().lo64(),
-                      op.b.to_bits().lo64(), op.c.to_bits().lo64());
-    }
-    FmaOperand a =
-        op.a_ref >= 0 ? natives[(std::size_t)op.a_ref] : unit->lift(op.a);
-    FmaOperand c =
-        op.c_ref >= 0 ? natives[(std::size_t)op.c_ref] : unit->lift(op.c);
-    FmaOperand res = unit->fma(a, op.b, c);
-    if (j == jw) watched = unit->lower(res, rm);
-    natives[(std::size_t)j] = std::move(res);
-  }
-  annotate(tap, events, opts.watch_op, ops[(std::size_t)jw].a.to_bits().lo64(),
-           ops[(std::size_t)jw].b.to_bits().lo64(),
-           ops[(std::size_t)jw].c.to_bits().lo64(), watched);
+  std::vector<PFloat> readouts((std::size_t)opc);
+  const std::uint64_t base = g * opc;
+  simulate_chain(*unit, ops.data(), 0, (std::size_t)jw, base, rm, nullptr,
+                 natives.data(), readouts.data());
+  hooks.tap = &tap;
+  hooks.events = &events;
+  tap.begin_op(opts.watch_op);
+  simulate_chain(*unit, ops.data(), (std::size_t)jw, (std::size_t)jw + 1, base,
+                 rm, &events, natives.data(), readouts.data());
+  const ChainedOp& op = ops[(std::size_t)jw];
+  const PFloat watched = readouts[(std::size_t)jw];
+  annotate(tap, events, opts.watch_op,
+           chain_operand_bits(op.a, op.a_ref, readouts.data()),
+           op.b.to_bits().lo64(),
+           chain_operand_bits(op.c, op.c_ref, readouts.data()), watched);
   tap.write(opts.vcd_path);
   return watched;
 }

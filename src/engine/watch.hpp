@@ -32,8 +32,9 @@ bool parse_unit_kind(const std::string& name, UnitKind* out);
 
 /// Strip `--vcd <file>`, `--watch <index>` and `--unit <name>` from an
 /// argv-style vector (leaving every other argument in place, in order) and
-/// return the parsed options.  CHECK-fails on a missing value or a bad
-/// unit name.
+/// return the parsed options.  A missing value, a --watch that is not a
+/// decimal index or an unknown unit name prints a usage message and exits
+/// with status 2.
 WatchOptions extract_watch_args(std::vector<std::string>& args);
 WatchOptions extract_watch_args(int argc, char** argv);
 

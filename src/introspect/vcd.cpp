@@ -134,26 +134,34 @@ std::string VcdWriter::render() const {
   out += "$dumpvars\n";
   for (int id : order) {
     const Signal& s = signals_[(std::size_t)id];
-    out += (s.width > 1 ? "bx " : "x") + id_code(id) + "\n";
+    out += s.width > 1 ? "bx " : "x";
+    out += id_code(id);
+    out += '\n';
   }
   out += "$end\n";
 
   std::uint64_t cur = ~std::uint64_t{0};
   for (const auto& c : changes_) {
     if (c.time != cur) {
-      out += "#" + std::to_string(c.time) + "\n";
+      out += '#';
+      out += std::to_string(c.time);
+      out += '\n';
       cur = c.time;
     }
     const Signal& s = signals_[(std::size_t)c.signal];
     if (s.width > 1) {
       out += binary_token(c.words, s.width) + " " + id_code(c.signal) + "\n";
     } else {
-      out += ((c.words[0] & 1u) ? "1" : "0") + id_code(c.signal) + "\n";
+      out += (c.words[0] & 1u) ? '1' : '0';
+      out += id_code(c.signal);
+      out += '\n';
     }
   }
   // Close the waveform one tick after the last change so viewers show the
   // final values with non-zero extent.
-  out += "#" + std::to_string(time_ + 1) + "\n";
+  out += '#';
+  out += std::to_string(time_ + 1);
+  out += '\n';
   return out;
 }
 

@@ -196,41 +196,69 @@ std::string deterministic_json(const MetricsRegistry& reg) {
 // The telemetry face of the determinism contract: exported Deterministic
 // metrics are byte-identical JSON for 1 worker and 4 workers on the same
 // seed, and both runs also export *some* Timing entries (which are
-// compared by presence only).
+// compared by presence only).  Batch and chained runs share one shard
+// scheduler, so both record the same metric set.
 TEST(SimEngine, TelemetryMetricsAreThreadCountInvariant) {
-  auto run = [](int threads, MetricsRegistry& reg) {
+  RecurrenceChainSource chains(recurrence_inputs(42, 50), 20);  // 36 ops each
+  auto run = [&](bool chained, int threads, MetricsRegistry& reg) {
     RandomTripleSource src(42, 3000);
     EngineConfig cfg = config(UnitKind::Pcs, threads, 256);
     cfg.metrics = &reg;
     SimEngine engine(cfg);
-    return engine.run_batch(src);
+    return chained ? engine.run_chained(chains) : engine.run_batch(src);
   };
-  MetricsRegistry reg1, reg4;
-  run(1, reg1);
-  run(4, reg4);
-  EXPECT_EQ(deterministic_json(reg1), deterministic_json(reg4));
-  EXPECT_EQ(reg1.counter("engine.ops").value(), 3000u);
-  EXPECT_EQ(reg1.counter("engine.shards").value(), 12u);  // ceil(3000/256)
-  // Timing metrics exist in both but are not compared for equality.
-  EXPECT_TRUE(reg1.gauge("engine.batch.seconds", Stability::Timing).is_set());
-  EXPECT_TRUE(reg4.gauge("engine.batch.seconds", Stability::Timing).is_set());
+  for (bool chained : {false, true}) {
+    MetricsRegistry reg1, reg4;
+    run(chained, 1, reg1);
+    run(chained, 4, reg4);
+    EXPECT_EQ(deterministic_json(reg1), deterministic_json(reg4)) << chained;
+    // Timing metrics exist in both but are not compared for equality.
+    for (MetricsRegistry* reg : {&reg1, &reg4}) {
+      EXPECT_TRUE(
+          reg->gauge("engine.batch.seconds", Stability::Timing).is_set());
+      EXPECT_TRUE(reg->gauge("engine.worker.0.utilization", Stability::Timing)
+                      .is_set());
+      EXPECT_TRUE(reg->snapshot().histograms.count("engine.shard.seconds"));
+    }
+  }
+  MetricsRegistry batch, chained;
+  run(false, 1, batch);
+  run(true, 1, chained);
+  EXPECT_EQ(batch.counter("engine.ops").value(), 3000u);
+  EXPECT_EQ(batch.counter("engine.shards").value(), 12u);  // ceil(3000/256)
+  // 256 / 36 = 7 chains per shard: ceil(50 / 7) shards of up to 252 ops.
+  EXPECT_EQ(chained.counter("engine.ops").value(), 1800u);
+  EXPECT_EQ(chained.counter("engine.shards").value(), 8u);
+  EXPECT_EQ(chained.snapshot().histograms.at("engine.shard.ops").count, 8u);
 }
 
 TEST(SimEngine, TraceSessionRecordsShardAndMergeSpans) {
   RandomTripleSource src(7, 600);
-  TraceSession trace;
-  EngineConfig cfg = config(UnitKind::Fcs, 2, 256);
-  cfg.trace = &trace;
-  SimEngine engine(cfg);
-  engine.run_batch(src);
-  std::map<std::string, int> names;
-  for (const auto& e : trace.events()) names[e.name] += 1;
-  EXPECT_EQ(names["shard"], 3);  // ceil(600/256)
-  EXPECT_EQ(names["fill"], 3);
-  EXPECT_EQ(names["simulate"], 3);
-  EXPECT_EQ(names["merge"], 1);
-  // The export is well-formed chrome://tracing JSON.
-  EXPECT_NE(trace.to_json().find("\"traceEvents\":["), std::string::npos);
+  RecurrenceChainSource chains(recurrence_inputs(7, 10), 20);  // 36 ops each
+  auto spans = [&](bool chained) {
+    TraceSession trace;
+    EngineConfig cfg = config(UnitKind::Fcs, 2, 256);
+    cfg.trace = &trace;
+    SimEngine engine(cfg);
+    if (chained) {
+      engine.run_chained(chains);
+    } else {
+      engine.run_batch(src);
+    }
+    // The export is well-formed chrome://tracing JSON.
+    EXPECT_NE(trace.to_json().find("\"traceEvents\":["), std::string::npos);
+    std::map<std::string, int> names;
+    for (const auto& e : trace.events()) names[e.name] += 1;
+    return names;
+  };
+  std::map<std::string, int> batch = spans(false);
+  EXPECT_EQ(batch["shard"], 3);  // ceil(600/256)
+  EXPECT_EQ(batch["fill"], 3);
+  EXPECT_EQ(batch["simulate"], 3);
+  EXPECT_EQ(batch["merge"], 1);
+  std::map<std::string, int> chained = spans(true);
+  EXPECT_EQ(chained["shard"], 2);  // 7 chains per shard: ceil(10/7)
+  EXPECT_EQ(chained["merge"], 1);
 }
 
 TEST(SimEngine, TelemetryOffByDefault) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "fma/pcs_format.hpp"  // kWideExact
@@ -15,6 +16,13 @@ struct RangeCase {
   const char* name;
   int emin, emax;
 };
+
+// Printed into the test names that gtest_discover_tests registers; without
+// it gtest dumps the raw bytes, including the address of `name`, and the
+// names change with every link.
+void PrintTo(const RangeCase& c, std::ostream* os) {
+  *os << c.name << " " << c.emin << ".." << c.emax;
+}
 
 class FcsFmaSweep : public ::testing::TestWithParam<RangeCase> {};
 

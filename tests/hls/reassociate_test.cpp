@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 #include "hls/fma_insert.hpp"
@@ -14,11 +15,19 @@ namespace {
 
 OperatorLibrary lib() { return OperatorLibrary::for_device(virtex6()); }
 
+/// Indexed variable name such as "x3" (appended piecewise: GCC 12 flags
+/// `"x" + std::to_string(i)` with a false -Wrestrict at -O3).
+std::string var(char prefix, int i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 Cdfg long_sum(int n) {
   Cdfg g;
   int acc = g.add_input("x0");
   for (int i = 1; i < n; ++i) {
-    int x = g.add_input("x" + std::to_string(i));
+    int x = g.add_input(var('x', i));
     acc = (i % 3 == 0) ? g.add_op(OpKind::Sub, {acc, x})
                        : g.add_op(OpKind::Add, {acc, x});
   }
@@ -52,8 +61,8 @@ TEST(Reassociate, ValuesWithinReassociationEnvelope) {
     std::map<std::string, double> in;
     double maxmag = 0;
     for (int i = 0; i < 16; ++i) {
-      in["x" + std::to_string(i)] = rng.next_double(-100, 100);
-      maxmag = std::max(maxmag, std::fabs(in["x" + std::to_string(i)]));
+      in[var('x', i)] = rng.next_double(-100, 100);
+      maxmag = std::max(maxmag, std::fabs(in[var('x', i)]));
     }
     double vb = Evaluator(base).run(in).at("s");
     double vf = Evaluator(bal).run(in).at("s");
@@ -93,8 +102,8 @@ TEST(Reassociate, BreaksFmaChains) {
   Cdfg g;
   int acc = g.add_input("b");
   for (int i = 0; i < 8; ++i) {
-    int x = g.add_input("x" + std::to_string(i));
-    int y = g.add_input("y" + std::to_string(i));
+    int x = g.add_input(var('x', i));
+    int y = g.add_input(var('y', i));
     acc = g.add_op(OpKind::Sub, {acc, g.add_op(OpKind::Mul, {x, y})});
   }
   g.add_output("o", acc);
@@ -110,8 +119,8 @@ TEST(Reassociate, BreaksFmaChains) {
   Rng rng(221);
   std::map<std::string, double> in{{"b", 3.0}};
   for (int i = 0; i < 8; ++i) {
-    in["x" + std::to_string(i)] = rng.next_double(-2, 2);
-    in["y" + std::to_string(i)] = rng.next_double(-2, 2);
+    in[var('x', i)] = rng.next_double(-2, 2);
+    in[var('y', i)] = rng.next_double(-2, 2);
   }
   double v1 = Evaluator(fma_only).run(in).at("o");
   double v2 = Evaluator(bal_then_fma).run(in).at("o");

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace csfma {
 namespace {
 
 OperatorLibrary lib() { return OperatorLibrary::for_device(virtex6()); }
+
+/// Indexed variable name such as "x3" (appended piecewise: GCC 12 flags
+/// `"x" + std::to_string(i)` with a false -Wrestrict at -O3).
+std::string var(char prefix, int i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
 
 Cdfg chain_of_mas(int n) {
   // x[i+1] = a*x[i] + b : a dependent multiply-add chain of length n.
@@ -95,7 +105,7 @@ TEST(Schedule, ListResourceLimitSerializesIndependentOps) {
   int b = g.add_input("b");
   std::vector<int> ms;
   for (int i = 0; i < 8; ++i) ms.push_back(g.add_op(OpKind::Mul, {a, b}));
-  for (int i = 0; i < 8; ++i) g.add_output("o" + std::to_string(i), ms[(size_t)i]);
+  for (int i = 0; i < 8; ++i) g.add_output(var('o', i), ms[(size_t)i]);
   ResourceLimits lim;
   lim.mul = 1;
   Schedule s = schedule_list(g, l, lim);

@@ -4,6 +4,7 @@
 // --vcd/--watch re-simulation path.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -150,6 +151,40 @@ TEST(IntrospectIntegration, WatchedChainedOpMatchesEngineReadout) {
   EXPECT_TRUE(PFloat::same_value(got, r.results[opts.watch_op]));
 }
 
+// A referenced operand is stamped with the IEEE readout of the result it
+// chains from, in the watched VCD header exactly as in the engine's event
+// log — not with the unused IEEE field of the ChainedOp.
+TEST(IntrospectIntegration, WatchedChainedOpStampsReferencedReadout) {
+  RecurrenceChainSource src(recurrence_inputs(88, 3), 20);
+  EngineConfig cfg;
+  cfg.unit = UnitKind::Fcs;
+  cfg.threads = 1;
+  SimEngine engine(cfg);
+  BatchResult r = engine.run_chained(src);
+
+  const std::uint64_t opc = src.ops_per_chain();
+  std::vector<ChainedOp> chain((std::size_t)opc);
+  src.fill_chain(1, chain.data());
+  const ChainedOp& op = chain[(std::size_t)opc - 1];
+  ASSERT_GE(op.a_ref, 0);
+  const std::uint64_t want =
+      r.results[(std::size_t)(opc + (std::uint64_t)op.a_ref)].to_bits().lo64();
+  ASSERT_NE(want, op.a.to_bits().lo64());
+
+  WatchOptions opts;
+  opts.vcd_path = testing::TempDir() + "csfma_watch_chain_stamp_test.vcd";
+  opts.unit = UnitKind::Fcs;
+  opts.watch_op = opc + opc - 1;
+  run_watched_chained(opts, src);
+  std::ifstream in(opts.vcd_path);
+  std::stringstream vcd;
+  vcd << in.rdbuf();
+  char a_field[32];
+  std::snprintf(a_field, sizeof a_field, "a=0x%016llx",
+                (unsigned long long)want);
+  EXPECT_NE(vcd.str().find(a_field), std::string::npos) << vcd.str();
+}
+
 TEST(IntrospectIntegration, ExtractWatchArgsLeavesOtherArgs) {
   std::vector<std::string> args = {"--json", "out.json", "--vcd", "w.vcd",
                                    "--watch", "17", "--unit", "fcs", "pos"};
@@ -163,6 +198,22 @@ TEST(IntrospectIntegration, ExtractWatchArgsLeavesOtherArgs) {
   EXPECT_EQ(args[0], "--json");
   EXPECT_EQ(args[1], "out.json");
   EXPECT_EQ(args[2], "pos");
+}
+
+TEST(IntrospectIntegrationDeathTest, ExtractWatchArgsRejectsMalformedValues) {
+  auto extract = [](std::vector<std::string> args) {
+    extract_watch_args(args);
+  };
+  EXPECT_EXIT(extract({"--vcd", "w.vcd", "--watch", "x"}),
+              testing::ExitedWithCode(2), "--watch needs an operation index");
+  EXPECT_EXIT(extract({"--watch", "12abc"}), testing::ExitedWithCode(2),
+              "usage:");
+  EXPECT_EXIT(extract({"--watch", "-1"}), testing::ExitedWithCode(2),
+              "usage:");
+  EXPECT_EXIT(extract({"--vcd", "w.vcd", "--watch"}),
+              testing::ExitedWithCode(2), "--watch needs a value");
+  EXPECT_EXIT(extract({"--unit", "pcx"}), testing::ExitedWithCode(2),
+              "unknown --unit 'pcx'");
 }
 
 }  // namespace

@@ -205,6 +205,42 @@ TEST(BenchHarness, ExtractHarnessArgsStripsFlags) {
   EXPECT_STREQ(argv[2], "4");
 }
 
+TEST(BenchHarness, ExtractHarnessArgsParsesCountsAndBackend) {
+  const char* raw[] = {"bench", "--workers", "4", "--backend", "scalar",
+                       "--no-bench-out", "--benchmark_min_time=0.01"};
+  int argc = 7;
+  std::vector<char*> argv;
+  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
+  HarnessOptions o = extract_harness_args(argc, argv.data());
+  EXPECT_EQ(o.workers, 4);
+  EXPECT_EQ(o.backend, EngineBackend::Scalar);
+  EXPECT_EQ(o.bench_out, "-");
+  // Flags the harness does not own pass through for the bench to parse.
+  ASSERT_EQ(argc, 2);
+  EXPECT_STREQ(argv[1], "--benchmark_min_time=0.01");
+}
+
+TEST(BenchHarnessDeathTest, ExtractHarnessArgsRejectsMalformedValues) {
+  auto extract = [](std::vector<const char*> raw) {
+    std::vector<char*> argv;
+    for (const char* a : raw) argv.push_back(const_cast<char*>(a));
+    int argc = (int)argv.size();
+    extract_harness_args(argc, argv.data());
+  };
+  EXPECT_EXIT(extract({"bench", "--reps", "x"}), testing::ExitedWithCode(2),
+              "--reps needs an integer >= 1, got 'x'");
+  EXPECT_EXIT(extract({"bench", "--reps", "0"}), testing::ExitedWithCode(2),
+              "--reps needs an integer >= 1");
+  EXPECT_EXIT(extract({"bench", "--warmup", "2x"}), testing::ExitedWithCode(2),
+              "bench flags:");
+  EXPECT_EXIT(extract({"bench", "--workers", "-1"}), testing::ExitedWithCode(2),
+              "--workers needs an integer >= 0");
+  EXPECT_EXIT(extract({"bench", "--workers"}), testing::ExitedWithCode(2),
+              "--workers needs a value");
+  EXPECT_EXIT(extract({"bench", "--backend", "simd"}),
+              testing::ExitedWithCode(2), "unknown --backend 'simd'");
+}
+
 TEST(BenchHarness, MeasureRunsWarmupPlusReps) {
   HarnessOptions o;
   o.reps = 3;
