@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "fma/pcs_config.hpp"
+#include "fma/pcs_fma.hpp"
 #include "fpga/device.hpp"
 #include "harness.hpp"
 #include "telemetry/report.hpp"
@@ -20,15 +20,15 @@ int main(int argc, char** argv) {
   const Device dev = virtex6();
   Rng rng(5150);
 
-  // Host-perf phase: the generic-geometry PCS unit on the paper's 55/11
+  // Host-perf phase: the PCS unit's scalar datapath on the paper's 55/11
   // point (the full geometry sweep runs once below).
   BenchHarness harness("ablation_block_size", hopts);
   {
     constexpr std::uint64_t kOps = 2000;
-    GenPcsFma unit(PcsConfig{55, 11});
+    PcsFma unit(kPaperPcs);
     Rng prng(5151);
     harness.measure(
-        "gen_pcs.55_11",
+        "pcs.55_11",
         [&] {
           double sink = 0;
           for (std::uint64_t t = 0; t < kOps; ++t) {
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       {55, 11}, {55, 55}, {56, 4},  {56, 8},  {56, 14}, {56, 28},
   };
   for (const PcsConfig& cfg : sweep) {
-    GenPcsFma unit(cfg);
+    PcsFma unit(cfg);
     double sum = 0, worst = 0;
     const int trials = 4000;
     int counted = 0;

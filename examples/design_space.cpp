@@ -8,7 +8,7 @@
 
 #include "common/rng.hpp"
 #include "fma/fcs_fma.hpp"
-#include "fma/pcs_config.hpp"
+#include "fma/pcs_fma.hpp"
 #include "fpga/architectures.hpp"
 
 namespace {
@@ -63,7 +63,7 @@ int main() {
   }
   {
     const auto& r = report("PCS-FMA");
-    GenPcsFma unit(kPaperPcs);
+    PcsFma unit;
     double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
       return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
     });
@@ -73,7 +73,7 @@ int main() {
   }
   for (PcsConfig cfg : {kPcs56g14, PcsConfig{44, 11}, PcsConfig{33, 11},
                         PcsConfig{22, 11}}) {
-    GenPcsFma unit(cfg);
+    PcsFma unit(cfg);
     double ulp = mean_ulp([&](const PFloat& a, const PFloat& b, const PFloat& c) {
       return unit.fma_ieee(a, b, c, Round::HalfAwayFromZero);
     });

@@ -8,7 +8,7 @@
 #include "energy/energy_model.hpp"
 #include "energy/workload.hpp"
 #include "fma/fcs_fma.hpp"
-#include "fma/pcs_config.hpp"
+#include "fma/pcs_fma.hpp"
 #include "fpga/architectures.hpp"
 
 namespace csfma::dse {
@@ -66,7 +66,7 @@ std::vector<Component> build_pcs(const DseConfig& cfg, const Device& dev) {
   // width.  Every area is the Fig 9 baseline scaled by the width ratio of
   // the structure it implements; at (55, 11, rwidth 55) all ratios are 1.
   const PcsConfig pc{cfg.block, cfg.group};
-  const PcsConfig base{55, 11};
+  const PcsConfig base = kPaperPcs;
   const int tiles = ((pc.mant_digits() + 16) / 17) * 3;  // DSP48 17x24 grid
   const int tree_levels = csa_levels_for_rows(tiles + 1);
   const int base_levels = csa_levels_for_rows(21 + 1);
@@ -152,8 +152,9 @@ std::vector<Component> build_fcs(const DseConfig& cfg, const Device& dev) {
 }
 
 /// Toggles per multiply-add of the configured unit on the Sec. IV-B
-/// recurrence stream (cfg.ops operations, IEEE boundaries).  Pure in
-/// (unit, geometry, select, rm, seed, ops).
+/// recurrence stream (cfg.ops operations, IEEE boundaries): the adder
+/// stage for PCS, every probe for the other units.  Pure in (unit,
+/// geometry, select, rm, seed, ops).
 double measure_model_toggles(const DseConfig& cfg) {
   const int runs =
       static_cast<int>((cfg.ops + 31) / 32);  // 32 triples per depth-18 run
@@ -164,9 +165,12 @@ double measure_model_toggles(const DseConfig& cfg) {
   ActivityRecorder rec;
   switch (cfg.unit) {
     case UnitKind::Pcs: {
-      GenPcsFma unit(PcsConfig{cfg.block, cfg.group}, &rec);
+      // PCS points count the adder stage only (see eval.hpp).
+      PcsFma unit(PcsConfig{cfg.block, cfg.group}, &rec);
       for (const auto& t : ops) unit.fma_ieee(t.a, t.b, t.c, cfg.rm);
-      break;
+      return static_cast<double>(rec.probes().at("add.sum").toggles() +
+                                 rec.probes().at("add.carry").toggles()) /
+             static_cast<double>(cfg.ops);
     }
     case UnitKind::Fcs: {
       FcsFma unit(&rec, cfg.select == BlockSelect::Zd ? FcsSelect::ZeroDetect

@@ -28,7 +28,12 @@ struct DseMetrics {
   double fmax_mhz = 0.0;
   int luts = 0;
   int dsps = 0;
-  double toggles_per_op = 0.0;  // measured on the Sec. IV-B recurrence
+  // Measured on the Sec. IV-B recurrence.  PCS points count the adder
+  // stage's toggles only (the add.sum and add.carry probes, i.e. the "add"
+  // entry of ActivityRecorder::stage_totals()); FCS, classic and discrete
+  // points count every stage.  The energy calibration and every published DSE
+  // number were fixed with this split, so it is kept as is.
+  double toggles_per_op = 0.0;
   double energy_nj = 0.0;       // alpha*toggles + beta*LUTs (Table II model)
 };
 

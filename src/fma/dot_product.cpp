@@ -8,7 +8,8 @@
 
 namespace csfma {
 
-using G = PcsGeometry;
+/// The dot-product back end is the PCS-FMA one at the paper geometry.
+constexpr PcsConfig G = kPaperPcs;
 
 namespace {
 
@@ -75,7 +76,7 @@ PcsOperand PcsDotProduct::dot(
 
   // ---- align into the shared window and reduce with one CSA tree ----
   const int w0 = max_msb - kAnchorMsb;  // exponent of window bit 0
-  const CsWord wmask = CsWord::mask(G::kAdderWidth);
+  const CsWord wmask = CsWord::mask(G.adder_width());
   CsWord rows_stack[64];
   std::vector<CsWord> rows_heap;
   CsWord* rows = rows_stack;
@@ -132,20 +133,20 @@ PcsOperand PcsDotProduct::dot(
       rows[i] = CsWord(placed) & wmask;
     }
   }
-  CsNum acc = reduce_rows_inplace(G::kAdderWidth, rows, n_prods, &tree_stats_);
+  CsNum acc = reduce_rows_inplace(G.adder_width(), rows, n_prods, &tree_stats_);
   if (activity_ != nullptr) {
     activity_->probe("dot.sum").observe(acc.sum());
     activity_->probe("dot.carry").observe(acc.carry());
   }
 
   // ---- Carry Reduce + ZD + 6:1 mux, exactly the PCS-FMA back end ----
-  PcsNum reduced = carry_reduce(acc, G::kGroup);
-  const int k = count_skippable_blocks(reduced.as_cs(), G::kBlock, 5);
-  const int mant_lo = (5 - k) * G::kBlock;
-  PcsNum mant = reduced.extract_digits(mant_lo, G::kMantDigits);
-  PcsNum tail = PcsNum::zero(G::kTailDigits, G::kGroup);
-  if (mant_lo >= G::kBlock) {
-    tail = reduced.extract_digits(mant_lo - G::kBlock, G::kTailDigits);
+  PcsNum reduced = carry_reduce(acc, G.group);
+  const int k = count_skippable_blocks(reduced.as_cs(), G.block, 5);
+  const int mant_lo = (5 - k) * G.block;
+  PcsNum mant = reduced.extract_digits(mant_lo, G.mant_digits());
+  PcsNum tail = PcsNum::zero(G.tail_digits(), G.group);
+  if (mant_lo >= G.block) {
+    tail = reduced.extract_digits(mant_lo - G.block, G.tail_digits());
   }
   if (mant.to_binary().is_zero() && tail.to_binary().is_zero()) {
     return PcsOperand::make_zero(false);
@@ -153,10 +154,10 @@ PcsOperand PcsDotProduct::dot(
   // value = Y * 2^w0; mant digit 0 at window bit mant_lo; operand semantics
   // give weight 2^(e_r - 107) to mant digit 0.
   const int e_r = w0 + mant_lo + 107;
-  if (e_r > G::kExpMax) {
+  if (e_r > PcsConfig::kExpMax) {
     return PcsOperand::make_inf(mant.as_cs().is_value_negative());
   }
-  if (e_r < G::kExpMin) {
+  if (e_r < PcsConfig::kExpMin) {
     return PcsOperand::make_zero(mant.as_cs().is_value_negative());
   }
   return PcsOperand(mant, tail, e_r, FpClass::Normal, false);

@@ -70,8 +70,8 @@ FcsOperand FcsFma::fma(const FcsOperand& a, const PFloat& b,
     }
     return passthrough_rounded(a, rnd_a);
   }
-  CSFMA_CHECK_MSG(b.format().precision() <= 53,
-                  "B must be IEEE binary64 or narrower");
+  const int b_prec = b.format().precision();
+  CSFMA_CHECK_MSG(b_prec <= 53, "B must be IEEE binary64 or narrower");
 
   // ---- early leading-zero anticipation on the INPUTS (Sec. III-G) ----
   // Anticipated upper bounds for the most-significant digit position of
@@ -105,8 +105,11 @@ FcsOperand FcsFma::fma(const FcsOperand& a, const PFloat& b,
   p_est += 1;  // sum of two addends can grow one digit
 
   // ---- multiplier: DSP-tiled CSA tree in the adder window (pre-adders
-  //      assimilate C's planes; Sec. III-H) ----
-  const CsWord b_sig = CsWord(WideUint<7>(WideUint<2>(b.sig())));
+  //      assimilate C's planes; Sec. III-H).  A narrower B's significand
+  //      moves up to the 53-bit port's MSB, so the product scale stays
+  //      e_B + e_C. ----
+  const CsWord b_sig =
+      CsWord(WideUint<7>(WideUint<2>(b.sig() << (53 - b_prec))));
   CsNum product =
       multiply_dsp_tiled(c.mant(), b_sig, 53, kCandChunk, kMultChunk,
                          G::kAdderWidth, G::kProductOffset, &mul_stats_);

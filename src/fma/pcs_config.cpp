@@ -1,9 +1,7 @@
 #include "fma/pcs_config.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
-#include "fma/pcs_format.hpp"
+#include "cs/cs_num.hpp"
 
 namespace csfma {
 
@@ -13,224 +11,6 @@ void PcsConfig::validate() const {
   CSFMA_CHECK_MSG(block % group == 0, "carry spacing must divide the block");
   CSFMA_CHECK_MSG(adder_width() <= kCsWordBits,
                   "adder window exceeds the CsWord workspace");
-}
-
-GenPcsOperand::GenPcsOperand()
-    : GenPcsOperand(kPaperPcs,
-                    PcsNum::zero(kPaperPcs.mant_digits(), kPaperPcs.group),
-                    PcsNum::zero(kPaperPcs.tail_digits(), kPaperPcs.group), 0,
-                    FpClass::Zero, false) {}
-
-GenPcsOperand::GenPcsOperand(PcsConfig cfg, PcsNum mant, PcsNum tail, int exp,
-                             FpClass cls, bool exc_sign)
-    : cfg_(cfg),
-      mant_(std::move(mant)),
-      tail_(std::move(tail)),
-      exp_(exp),
-      cls_(cls),
-      exc_sign_(exc_sign) {
-  cfg_.validate();
-  CSFMA_CHECK(mant_.width() == cfg_.mant_digits() && mant_.group() == cfg_.group);
-  CSFMA_CHECK(tail_.width() == cfg_.tail_digits() && tail_.group() == cfg_.group);
-  CSFMA_CHECK(exp_ >= -2047 && exp_ <= 2048);
-}
-
-GenPcsOperand GenPcsOperand::make_zero(const PcsConfig& cfg, bool sign) {
-  return GenPcsOperand(cfg, PcsNum::zero(cfg.mant_digits(), cfg.group),
-                       PcsNum::zero(cfg.tail_digits(), cfg.group), 0,
-                       FpClass::Zero, sign);
-}
-
-GenPcsOperand GenPcsOperand::make_inf(const PcsConfig& cfg, bool sign) {
-  GenPcsOperand r = make_zero(cfg, sign);
-  r.cls_ = FpClass::Inf;
-  return r;
-}
-
-GenPcsOperand GenPcsOperand::make_nan(const PcsConfig& cfg) {
-  GenPcsOperand r = make_zero(cfg, false);
-  r.cls_ = FpClass::NaN;
-  return r;
-}
-
-bool GenPcsOperand::is_zero() const {
-  return cls_ == FpClass::Zero ||
-         (cls_ == FpClass::Normal && mant_.to_binary().is_zero() &&
-          tail_assimilated().is_zero());
-}
-
-int GenPcsOperand::round_increment() const {
-  CSFMA_CHECK(cls_ == FpClass::Normal);
-  const CsWord tail = tail_assimilated();
-  const CsWord half = CsWord::bit_at(cfg_.tail_digits() - 1);
-  if (tail < half) return 0;
-  if (tail > half) return 1;
-  return mant_.as_cs().is_value_negative() ? 0 : 1;
-}
-
-PFloat GenPcsOperand::exact_value() const {
-  switch (cls_) {
-    case FpClass::Zero: return PFloat::zero(kWideExact, exc_sign_);
-    case FpClass::Inf: return PFloat::inf(kWideExact, exc_sign_);
-    case FpClass::NaN: return PFloat::nan(kWideExact);
-    case FpClass::Normal: break;
-  }
-  WideUint<8> m = WideUint<8>(mant_.to_binary()).sext(cfg_.mant_digits());
-  WideUint<8> x =
-      (m << cfg_.tail_digits()) + WideUint<8>(tail_assimilated());
-  const bool sign = x.bit(WideUint<8>::kBits - 1);
-  return PFloat::normalize_round(kWideExact, sign, sign ? -x : x,
-                                 exp_ - cfg_.frac_bits(), false,
-                                 Round::NearestEven);
-}
-
-GenPcsOperand ieee_to_genpcs(const PcsConfig& cfg, const PFloat& x) {
-  cfg.validate();
-  switch (x.cls()) {
-    case FpClass::Zero: return GenPcsOperand::make_zero(cfg, x.sign());
-    case FpClass::Inf: return GenPcsOperand::make_inf(cfg, x.sign());
-    case FpClass::NaN: return GenPcsOperand::make_nan(cfg);
-    case FpClass::Normal: break;
-  }
-  const int p = x.format().precision();
-  // Small geometries cannot hold a full binary64 significand: truncate the
-  // low bits on entry (the accuracy loss the ablation measures).
-  const int keep = std::min(p, cfg.sig_msb_digit() + 1);
-  U128 sig = x.sig() >> (p - keep);
-  const int shift = cfg.sig_msb_digit() - (keep - 1);
-  CsWord mag = CsWord(WideUint<7>(WideUint<2>(sig))) << shift;
-  CsNum mant = CsNum::from_signed(cfg.mant_digits(), x.sign(), mag);
-  const int exp2_lsb = x.exp() - x.format().frac_bits + (p - keep);
-  const int exp_fixed =
-      exp2_lsb - shift - cfg.tail_digits() + cfg.frac_bits();
-  CSFMA_CHECK(exp_fixed >= -2047 && exp_fixed <= 2048);
-  return GenPcsOperand(cfg,
-                       PcsNum(cfg.mant_digits(), cfg.group, mant.sum(),
-                              mant.carry()),
-                       PcsNum::zero(cfg.tail_digits(), cfg.group), exp_fixed,
-                       FpClass::Normal, x.sign());
-}
-
-PFloat genpcs_to_ieee(const GenPcsOperand& x, const FloatFormat& fmt,
-                      Round rm) {
-  switch (x.cls()) {
-    case FpClass::Zero: return PFloat::zero(fmt, x.exc_sign());
-    case FpClass::Inf: return PFloat::inf(fmt, x.exc_sign());
-    case FpClass::NaN: return PFloat::nan(fmt);
-    case FpClass::Normal: break;
-  }
-  const PcsConfig& cfg = x.config();
-  WideUint<8> m = WideUint<8>(x.mant().to_binary()).sext(cfg.mant_digits());
-  WideUint<8> xhat =
-      (m << cfg.tail_digits()) + WideUint<8>(x.tail_assimilated());
-  if (xhat.is_zero()) return PFloat::zero(fmt, false);
-  const bool sign = xhat.bit(WideUint<8>::kBits - 1);
-  return PFloat::normalize_round(fmt, sign, sign ? -xhat : xhat,
-                                 x.exp() - cfg.frac_bits(), false, rm);
-}
-
-GenPcsFma::GenPcsFma(PcsConfig cfg, ActivityRecorder* activity)
-    : cfg_(cfg), activity_(activity) {
-  cfg_.validate();
-}
-
-GenPcsOperand GenPcsFma::fma(const GenPcsOperand& a, const PFloat& b,
-                             const GenPcsOperand& c) {
-  CSFMA_CHECK(a.config().block == cfg_.block && a.config().group == cfg_.group);
-  CSFMA_CHECK(c.config().block == cfg_.block && c.config().group == cfg_.group);
-  // ---- exceptions ----
-  if (a.is_nan() || b.is_nan() || c.is_nan()) return GenPcsOperand::make_nan(cfg_);
-  const bool b_zero = b.is_zero(), c_zero = c.is_zero();
-  const bool c_sign = c.cls() == FpClass::Normal
-                          ? c.mant().as_cs().is_value_negative()
-                          : c.exc_sign();
-  const bool p_sign = b.sign() != c_sign;
-  if (b.is_inf() || c.is_inf()) {
-    if (b_zero || c_zero) return GenPcsOperand::make_nan(cfg_);
-    if (a.is_inf() && a.exc_sign() != p_sign) return GenPcsOperand::make_nan(cfg_);
-    return GenPcsOperand::make_inf(cfg_, p_sign);
-  }
-  if (a.is_inf()) return GenPcsOperand::make_inf(cfg_, a.exc_sign());
-
-  const int rnd_a = a.cls() == FpClass::Normal ? a.round_increment() : 0;
-  const int rnd_c = c.cls() == FpClass::Normal ? c.round_increment() : 0;
-
-  if (b_zero || c_zero) {
-    if (a.is_zero()) return GenPcsOperand::make_zero(cfg_, false);
-    CsNum bumped = compress3(cfg_.mant_digits(), a.mant().sum(),
-                             a.mant().carries(), CsWord((std::uint64_t)rnd_a));
-    return GenPcsOperand(cfg_, carry_reduce(bumped, cfg_.group),
-                         PcsNum::zero(cfg_.tail_digits(), cfg_.group), a.exp(),
-                         FpClass::Normal, false);
-  }
-  CSFMA_CHECK(b.format().precision() <= 53);
-
-  const int W = cfg_.adder_width();
-  const int prod_ofs = cfg_.mant_digits();
-  // Alignment constant: A's mantissa scale is 2^(e_A - sig_msb) and the
-  // window scale is 2^(e_P - sig_msb - 52 - prod_ofs), so
-  // ofs_a = e_A - e_P + 52 + prod_ofs.  (At the paper geometry this equals
-  // frac_bits() = 162 — a coincidence of block = 55 only.)
-  const int align_const = 52 + prod_ofs;
-  const CsWord b_sig = CsWord(WideUint<7>(WideUint<2>(b.sig())));
-  CsNum product = multiply_dsp_tiled(c.mant().as_cs(), b_sig, 53, 17, 24, W,
-                                     prod_ofs, nullptr);
-  if (rnd_c != 0)
-    product = cs_add_binary(product, (b_sig << prod_ofs).truncated(W));
-  if (b.sign()) product = cs_negate(product);
-  const int e_p = b.exp() + c.exp();
-
-  const int e_a = a.cls() == FpClass::Normal ? a.exp() : e_p;
-  WideUint<8> a_val =
-      WideUint<8>(a.cls() == FpClass::Normal ? a.mant().to_binary() : CsWord())
-          .sext(cfg_.mant_digits()) +
-      WideUint<8>((std::uint64_t)rnd_a);
-  const int ofs_a = e_a - e_p + align_const;
-  if (!a_val.is_zero() && ofs_a > W - cfg_.mant_digits()) {
-    CsNum bumped = compress3(cfg_.mant_digits(), a.mant().sum(),
-                             a.mant().carries(), CsWord((std::uint64_t)rnd_a));
-    return GenPcsOperand(cfg_, carry_reduce(bumped, cfg_.group),
-                         PcsNum::zero(cfg_.tail_digits(), cfg_.group), a.exp(),
-                         FpClass::Normal, false);
-  }
-  CsWord a_row;
-  if (!a_val.is_zero() && ofs_a > -cfg_.mant_digits()) {
-    WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
-    a_row = CsWord(placed).truncated(W);
-  }
-
-  CsNum adder = compress3(W, product.sum(), product.carry(), a_row);
-  if (activity_ != nullptr) {
-    activity_->probe("add.sum").observe(adder.sum());
-    activity_->probe("add.carry").observe(adder.carry());
-  }
-  PcsNum reduced = carry_reduce(adder, cfg_.group);
-
-  const int blocks = cfg_.adder_blocks();
-  const int k = count_skippable_blocks(reduced.as_cs(), cfg_.block, blocks - 2);
-  last_zd_skip_ = k;
-  const int mant_lo = (blocks - 2 - k) * cfg_.block;
-  PcsNum mant = reduced.extract_digits(mant_lo, cfg_.mant_digits());
-  PcsNum tail = PcsNum::zero(cfg_.tail_digits(), cfg_.group);
-  if (mant_lo >= cfg_.block)
-    tail = reduced.extract_digits(mant_lo - cfg_.block, cfg_.tail_digits());
-
-  if (mant.to_binary().is_zero() && tail.to_binary().is_zero())
-    return GenPcsOperand::make_zero(cfg_, false);
-
-  const int e_r = e_p + mant_lo - align_const;
-  if (e_r > 2048)
-    return GenPcsOperand::make_inf(cfg_, mant.as_cs().is_value_negative());
-  if (e_r < -2047)
-    return GenPcsOperand::make_zero(cfg_, mant.as_cs().is_value_negative());
-  return GenPcsOperand(cfg_, mant, tail, e_r, FpClass::Normal, false);
-}
-
-PFloat GenPcsFma::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
-                           Round rm) {
-  GenPcsOperand r =
-      fma(ieee_to_genpcs(cfg_, a), b, ieee_to_genpcs(cfg_, c));
-  return genpcs_to_ieee(r, kBinary64, rm);
 }
 
 }  // namespace csfma

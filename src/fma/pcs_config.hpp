@@ -1,27 +1,21 @@
-// Runtime-configurable PCS-FMA geometry — the paper's future work
-// (Sec. V): "the use of different carry bit densities in the PCS-FMA could
-// be explored when increasing the block size to 56b (instead of the 55b
+// PCS-FMA geometry: the one description every width of the PCS datapath is
+// read from (pcs_format.hpp, pcs_fma.hpp).  The paper ships (55, 11); its
+// future work (Sec. V) asks for "different carry bit densities in the
+// PCS-FMA ... when increasing the block size to 56b (instead of the 55b
 // used here)".
 //
-// GenPcsFma generalizes the fixed 55b/group-11 unit of pcs_fma.hpp to any
-// (block, group) geometry with group | block:
+// A geometry (block, group) with group | block derives:
 //   * mantissa  = 2 blocks, rounding tail = 1 block,
-//   * product   = mantissa + 53 bits,
+//   * product   = mantissa + 53 bits (the binary64 B port),
 //   * adder     = mantissa + product + mantissa, rounded up to blocks,
 //   * value     = X̂ · 2^(exp − F),  F = sig_msb_digit + tail_digits,
-// which reduces to the paper's exact constants at (55, 11): 110b+10b
-// mantissa, 385b adder, F = 162.
+// which reduces to the paper's constants at (55, 11): 110b+10b mantissa,
+// 55b+5b tail, 163b product, 385b adder, F = 162, 192b operands.
 //
-// Small blocks trade accuracy (the 52+1+1+1 bit budget no longer fits)
-// for narrower operands and a cheaper mux — the exploration the ablation
-// bench sweeps.
+// Small blocks trade accuracy (the 52+1+1+1 bit budget no longer fits, so
+// wide significands are truncated on entry) for narrower operands and a
+// cheaper mux — the exploration bench/ablation_block_size sweeps.
 #pragma once
-
-#include "common/activity.hpp"
-#include "cs/csa_tree.hpp"
-#include "cs/pcs.hpp"
-#include "cs/zero_detect.hpp"
-#include "fp/pfloat.hpp"
 
 namespace csfma {
 
@@ -29,31 +23,48 @@ struct PcsConfig {
   int block = 55;  // result block digits
   int group = 11;  // explicit-carry spacing; must divide block
 
-  int mant_digits() const { return 2 * block; }
-  int tail_digits() const { return block; }
-  int product_width() const { return mant_digits() + 53; }
-  int adder_blocks() const {
+  /// The exponent field is 12 bits in excess-2047 at every geometry.
+  static constexpr int kExpBias = 2047;
+  static constexpr int kExpMin = -2047;
+  static constexpr int kExpMax = 2048;
+
+  constexpr int mant_digits() const { return 2 * block; }
+  constexpr int tail_digits() const { return block; }
+  constexpr int product_width() const { return mant_digits() + 53; }
+  /// Product lsb in the adder window: one mantissa of headroom below it
+  /// for A's right-shifted digits.
+  constexpr int product_offset() const { return mant_digits(); }
+  constexpr int adder_blocks() const {
     const int raw = 2 * mant_digits() + product_width();
     return (raw + block - 1) / block;
   }
-  int adder_width() const { return adder_blocks() * block; }
+  constexpr int adder_width() const { return adder_blocks() * block; }
   /// IEEE significand MSB position on conversion: the paper's
   /// 52+1(sign)+1(guard)+1(overflow) budget below the mantissa top.
-  int sig_msb_digit() const { return mant_digits() - 3; }
+  constexpr int sig_msb_digit() const { return mant_digits() - 3; }
   /// Binary point: value = X_hat * 2^(exp - frac_bits()).
-  int frac_bits() const { return sig_msb_digit() + tail_digits(); }
+  constexpr int frac_bits() const { return sig_msb_digit() + tail_digits(); }
+  /// Alignment constant of the adder window: A's mantissa digit 0 has
+  /// scale 2^(e_A - sig_msb) and window bit 0 has scale
+  /// 2^(e_P - sig_msb - 52 - product_offset), so A lands at window offset
+  /// e_A - e_P + align_const().  It equals frac_bits() (162) only at
+  /// block = 55.
+  constexpr int align_const() const { return 52 + product_offset(); }
   /// Number of explicit carry positions in one operand mantissa.
-  int mant_carries() const { return mant_digits() / group; }
+  constexpr int mant_carries() const { return mant_digits() / group; }
   /// Total operand bits (mant sum+carries, tail sum+carries, 12b exponent).
-  int operand_bits() const {
+  constexpr int operand_bits() const {
     return mant_digits() + mant_carries() + tail_digits() +
            tail_digits() / group + 12;
   }
   /// Significant digits guaranteed in the selected result (the 55b design
   /// yields >= 53; smaller blocks fall below double precision).
-  int guaranteed_digits() const { return mant_digits() - 3; }
+  constexpr int guaranteed_digits() const { return mant_digits() - 3; }
 
   void validate() const;
+
+  friend constexpr bool operator==(const PcsConfig&,
+                                   const PcsConfig&) = default;
 };
 
 /// The paper's shipping geometry.
@@ -61,59 +72,5 @@ inline constexpr PcsConfig kPaperPcs{55, 11};
 /// The Sec. V candidate: 56b blocks admit spacings 4/7/8/14/28.
 inline constexpr PcsConfig kPcs56g8{56, 8};
 inline constexpr PcsConfig kPcs56g14{56, 14};
-
-/// A configurable-geometry PCS operand (runtime widths).
-class GenPcsOperand {
- public:
-  GenPcsOperand();  // +0 in the paper geometry
-  GenPcsOperand(PcsConfig cfg, PcsNum mant, PcsNum tail, int exp, FpClass cls,
-                bool exc_sign);
-
-  static GenPcsOperand make_zero(const PcsConfig& cfg, bool sign);
-  static GenPcsOperand make_inf(const PcsConfig& cfg, bool sign);
-  static GenPcsOperand make_nan(const PcsConfig& cfg);
-
-  const PcsConfig& config() const { return cfg_; }
-  const PcsNum& mant() const { return mant_; }
-  const PcsNum& tail() const { return tail_; }
-  int exp() const { return exp_; }
-  FpClass cls() const { return cls_; }
-  bool exc_sign() const { return exc_sign_; }
-
-  bool is_nan() const { return cls_ == FpClass::NaN; }
-  bool is_inf() const { return cls_ == FpClass::Inf; }
-  bool is_zero() const;
-
-  CsWord tail_assimilated() const { return tail_.sum() + tail_.carries(); }
-  int round_increment() const;  // half-away-from-zero over the tail block
-  PFloat exact_value() const;
-
- private:
-  PcsConfig cfg_;
-  PcsNum mant_, tail_;
-  int exp_ = 0;
-  FpClass cls_ = FpClass::Zero;
-  bool exc_sign_ = false;
-};
-
-GenPcsOperand ieee_to_genpcs(const PcsConfig& cfg, const PFloat& x);
-PFloat genpcs_to_ieee(const GenPcsOperand& x, const FloatFormat& fmt, Round rm);
-
-class GenPcsFma {
- public:
-  explicit GenPcsFma(PcsConfig cfg, ActivityRecorder* activity = nullptr);
-
-  GenPcsOperand fma(const GenPcsOperand& a, const PFloat& b,
-                    const GenPcsOperand& c);
-  PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c, Round rm);
-
-  const PcsConfig& config() const { return cfg_; }
-  int last_zd_skip() const { return last_zd_skip_; }
-
- private:
-  PcsConfig cfg_;
-  ActivityRecorder* activity_;
-  int last_zd_skip_ = 0;
-};
 
 }  // namespace csfma

@@ -10,8 +10,6 @@
 
 namespace csfma {
 
-using G = PcsGeometry;
-
 namespace {
 
 /// DSP48E tile geometry of the PCS multiplier: the 110b multiplicand feeds
@@ -31,31 +29,50 @@ bool value_sign(const PcsOperand& x) {
 /// A's pass-through result when the product falls entirely below A's
 /// window: apply A's deferred rounding, clear the tail.
 PcsOperand passthrough_rounded(const PcsOperand& a, int rnd_a) {
-  CsNum bumped = compress3(G::kMantDigits, a.mant().sum(), a.mant().carries(),
+  const PcsConfig g = a.geometry();
+  CsNum bumped = compress3(g.mant_digits(), a.mant().sum(), a.mant().carries(),
                            CsWord((std::uint64_t)rnd_a));
-  PcsNum mant = carry_reduce(bumped, G::kGroup);
-  return PcsOperand(mant, PcsNum::zero(G::kTailDigits, G::kGroup), a.exp(),
+  PcsNum mant = carry_reduce(bumped, g.group);
+  return PcsOperand(mant, PcsNum::zero(g.tail_digits(), g.group), a.exp(),
                     FpClass::Normal, value_sign(a));
+}
+
+/// B's significand on the 53-bit multiplier port: a narrower format's
+/// significand is shifted up so its MSB sits at port bit 52, which keeps
+/// the product scale (and so e_P = e_B + e_C) format-independent.
+U128 b_port(const PFloat& b) {
+  const int p = b.format().precision();
+  CSFMA_CHECK_MSG(p <= 53, "B must be IEEE binary64 or narrower");
+  return b.sig() << (53 - p);
 }
 
 }  // namespace
 
+PcsFma::PcsFma(PcsConfig geometry, ActivityRecorder* activity,
+               const IntrospectHooks* hooks)
+    : geom_(geometry), activity_(activity), hooks_(hooks) {
+  geom_.validate();
+}
+
 PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
                        const PcsOperand& c) {
+  const PcsConfig& g = geom_;
+  CSFMA_CHECK_MSG(a.geometry() == g && c.geometry() == g,
+                  "operand geometry differs from the unit's");
   SignalTap* tap = hooks_ != nullptr ? hooks_->tap : nullptr;
   EventLog* events = hooks_ != nullptr ? hooks_->events : nullptr;
   // ---- exception side-wires (Sec. III-B) ----
-  if (a.is_nan() || b.is_nan() || c.is_nan()) return PcsOperand::make_nan();
+  if (a.is_nan() || b.is_nan() || c.is_nan()) return PcsOperand::make_nan(g);
   const bool b_zero = b.is_zero();
   const bool c_zero = c.is_zero();
   const bool p_inf = b.is_inf() || c.is_inf();
   const bool p_sign = b.sign() != value_sign(c);
   if (p_inf) {
-    if (b_zero || c_zero) return PcsOperand::make_nan();
-    if (a.is_inf() && a.exc_sign() != p_sign) return PcsOperand::make_nan();
-    return PcsOperand::make_inf(p_sign);
+    if (b_zero || c_zero) return PcsOperand::make_nan(g);
+    if (a.is_inf() && a.exc_sign() != p_sign) return PcsOperand::make_nan(g);
+    return PcsOperand::make_inf(p_sign, g);
   }
-  if (a.is_inf()) return PcsOperand::make_inf(a.exc_sign());
+  if (a.is_inf()) return PcsOperand::make_inf(a.exc_sign(), g);
 
   // ---- deferred rounding decisions (Sec. III-C) ----
   const int rnd_a = a.cls() == FpClass::Normal ? a.round_increment() : 0;
@@ -75,25 +92,24 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
     // Product is zero: the result is (rounded) A.
     if (a.is_zero()) {
       const bool s = p_sign && value_sign(a);  // -0 only if both negative
-      return PcsOperand::make_zero(s);
+      return PcsOperand::make_zero(s, g);
     }
     return passthrough_rounded(a, rnd_a);
   }
-  CSFMA_CHECK_MSG(b.format().precision() <= 53,
-                  "B must be IEEE binary64 or narrower");
+  const CsWord b_sig = CsWord(WideUint<7>(b_port(b)));
 
   // ---- multiplier: B_M x unrounded C_M as a DSP-tiled CSA tree, built
-  //      directly in the 385b adder window at the product offset so the
+  //      directly in the adder window at the product offset so the
   //      product planes stay in carry-save form into the adder (Fig 9).
   //      C's deferred rounding becomes the +B_M correction row (Fig 6). ----
+  const int W = g.adder_width();
+  const int M = g.mant_digits();
   const CsNum c_mant = c.mant().as_cs();
-  const CsWord b_sig = CsWord(WideUint<7>(WideUint<2>(b.sig())));
-  CsNum product =
-      multiply_dsp_tiled(c_mant, b_sig, 53, kCandChunk, kMultChunk,
-                         G::kAdderWidth, G::kProductOffset, &mul_stats_);
+  CsNum product = multiply_dsp_tiled(c_mant, b_sig, 53, kCandChunk, kMultChunk,
+                                     W, g.product_offset(), &mul_stats_);
   if (rnd_c != 0) {
-    product = cs_add_binary(
-        product, (b_sig << G::kProductOffset).truncated(G::kAdderWidth));
+    product = cs_add_binary(product,
+                            (b_sig << g.product_offset()).truncated(W));
   }
   if (b.sign()) product = cs_negate(product);
   if (activity_ != nullptr) {
@@ -102,8 +118,8 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
   }
   if (tap != nullptr) {
     tap->begin_stage("mul");
-    tap->tap("mul.sum", product.sum(), G::kAdderWidth);
-    tap->tap("mul.carry", product.carry(), G::kAdderWidth);
+    tap->tap("mul.sum", product.sum(), W);
+    tap->tap("mul.carry", product.carry(), W);
   }
   const int e_p = b.exp() + c.exp();
 
@@ -112,70 +128,70 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
   const int e_a = a.cls() == FpClass::Normal ? a.exp() : e_p;  // zero: any
   WideUint<8> a_val =
       WideUint<8>(a.cls() == FpClass::Normal ? a.mant().to_binary() : CsWord())
-          .sext(G::kMantDigits) +
+          .sext(M) +
       WideUint<8>((std::uint64_t)rnd_a);
-  const int ofs_a = e_a - e_p + G::kFracBits;
-  if (!a_val.is_zero() && ofs_a > G::kAdderWidth - G::kMantDigits) {
+  const int ofs_a = e_a - e_p + g.align_const();
+  if (!a_val.is_zero() && ofs_a > W - M) {
     // A is entirely left of the adder window: the product cannot influence
     // even the rounding tail; pass A through.
     return passthrough_rounded(a, rnd_a);
   }
   CsWord a_row;
-  if (!a_val.is_zero() && ofs_a > -G::kMantDigits) {
+  if (!a_val.is_zero() && ofs_a > -M) {
     // The 512-bit sign extension makes the negative-offset shift arithmetic.
     WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
-    a_row = CsWord(placed).truncated(G::kAdderWidth);
+    a_row = CsWord(placed).truncated(W);
   }
   if (activity_ != nullptr) activity_->probe("ashift", "align").observe(a_row);
   if (tap != nullptr) {
     tap->begin_stage("align");
-    tap->tap("align.ashift", a_row, G::kAdderWidth);
+    tap->tap("align.ashift", a_row, W);
   }
 
-  // ---- 385b CS adder: product planes + aligned A row (3:2) ----
-  CsNum adder = compress3(G::kAdderWidth, product.sum(), product.carry(), a_row);
+  // ---- CS adder: product planes + aligned A row (3:2) ----
+  CsNum adder = compress3(W, product.sum(), product.carry(), a_row);
   if (activity_ != nullptr) {
     activity_->probe("add.sum", "add").observe(adder.sum());
     activity_->probe("add.carry", "add").observe(adder.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("add");
-    tap->tap("add.sum", adder.sum(), G::kAdderWidth);
-    tap->tap("add.carry", adder.carry(), G::kAdderWidth);
+    tap->tap("add.sum", adder.sum(), W);
+    tap->tap("add.carry", adder.carry(), W);
   }
   if (events != nullptr) {
     // Catastrophic cancellation: the sum's most significant digit landed
     // far (>= 50 digit positions) below the highest input digit.  Window
     // coordinates keep PFloat/PCS exponent conventions out of it.
-    const int a_msb = ofs_a > -G::kMantDigits && !a_val.is_zero()
-                          ? ofs_a + G::kMantDigits - 1
-                          : -1;
-    const int p_msb = G::kProductOffset + G::kMantDigits + 53;
-    const int out_msb = G::kAdderWidth - 1 - leading_sign_run(adder);
+    const int a_msb = ofs_a > -M && !a_val.is_zero() ? ofs_a + M - 1 : -1;
+    const int p_msb = g.product_offset() + M + 53;
+    const int out_msb = W - 1 - leading_sign_run(adder);
     const int drop = std::max(a_msb, p_msb) - out_msb;
     if (drop >= 50) events->raise(EventKind::Cancellation, drop);
   }
 
-  // ---- Carry Reduction to group-11 PCS (Sec. III-E) ----
-  PcsNum reduced = carry_reduce(adder, G::kGroup);
+  // ---- Carry Reduction to the group-spaced PCS form (Sec. III-E) ----
+  PcsNum reduced = carry_reduce(adder, g.group);
   if (activity_ != nullptr) {
     activity_->probe("creduce.sum", "creduce").observe(reduced.sum());
     activity_->probe("creduce.carry", "creduce").observe(reduced.carries());
   }
   if (tap != nullptr) {
     tap->begin_stage("creduce");
-    tap->tap("creduce.sum", reduced.sum(), G::kAdderWidth);
-    tap->tap("creduce.carry", reduced.carries(), G::kAdderWidth);
+    tap->tap("creduce.sum", reduced.sum(), W);
+    tap->tap("creduce.carry", reduced.carries(), W);
   }
 
-  // ---- Zero Detector + 6:1 block multiplexer (Sec. III-D/F) ----
-  const int k = count_skippable_blocks(reduced.as_cs(), G::kBlock, 5, events);
+  // ---- Zero Detector + block multiplexer (6:1 at 55b; Sec. III-D/F) ----
+  const int max_skip = g.adder_blocks() - 2;
+  const int k =
+      count_skippable_blocks(reduced.as_cs(), g.block, max_skip, events);
   last_zd_skip_ = k;
-  const int mant_lo = (5 - k) * G::kBlock;
-  PcsNum mant = reduced.extract_digits(mant_lo, G::kMantDigits);
-  PcsNum tail = PcsNum::zero(G::kTailDigits, G::kGroup);
-  if (mant_lo >= G::kBlock) {
-    tail = reduced.extract_digits(mant_lo - G::kBlock, G::kTailDigits);
+  const int mant_lo = (max_skip - k) * g.block;
+  PcsNum mant = reduced.extract_digits(mant_lo, M);
+  PcsNum tail = PcsNum::zero(g.tail_digits(), g.group);
+  if (mant_lo >= g.block) {
+    tail = reduced.extract_digits(mant_lo - g.block, g.tail_digits());
   }
   if (activity_ != nullptr) {
     activity_->probe("mux.sum", "mux").observe(mant.sum());
@@ -183,51 +199,55 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
   }
   if (tap != nullptr) {
     tap->begin_stage("mux");
+    // k <= adder_blocks() - 2, at most 11 for the smallest valid block.
     tap->tap_u64("mux.zd_skip", (std::uint64_t)k, 4);
-    tap->tap("mux.sum", mant.sum(), G::kMantDigits);
-    tap->tap("mux.carry", mant.carries(), G::kMantDigits);
+    tap->tap("mux.sum", mant.sum(), M);
+    tap->tap("mux.carry", mant.carries(), M);
   }
 
   if (mant.to_binary().is_zero() && tail.to_binary().is_zero()) {
-    return PcsOperand::make_zero(false);
+    return PcsOperand::make_zero(false, g);
   }
 
   // ---- exponent update ----
-  const int e_r = e_p + mant_lo - G::kFracBits;
-  if (e_r > G::kExpMax) {
-    return PcsOperand::make_inf(mant.as_cs().is_value_negative());
+  const int e_r = e_p + mant_lo - g.align_const();
+  if (e_r > PcsConfig::kExpMax) {
+    return PcsOperand::make_inf(mant.as_cs().is_value_negative(), g);
   }
-  if (e_r < G::kExpMin) {
+  if (e_r < PcsConfig::kExpMin) {
     if (events != nullptr) events->raise(EventKind::SubnormalFlush, e_r);
-    return PcsOperand::make_zero(mant.as_cs().is_value_negative());
+    return PcsOperand::make_zero(mant.as_cs().is_value_negative(), g);
   }
   return PcsOperand(mant, tail, e_r, FpClass::Normal, false);
 }
 
 PFloat PcsFma::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
                         Round rm) {
-  PcsOperand r = fma(ieee_to_pcs(a), b, ieee_to_pcs(c));
+  PcsOperand r = fma(ieee_to_pcs(a, geom_), b, ieee_to_pcs(c, geom_));
   return pcs_to_ieee(r, kBinary64, rm);
 }
 
 namespace {
 
+/// The sliced block below is written for the paper geometry only.
+constexpr PcsConfig G = kPaperPcs;
+
 /// Exponent of digit 0 of a lifted operand's mantissa (the exp_fixed of
 /// ieee_to_pcs), valid for Normal operands only.
 int lifted_exp(const PFloat& x) {
-  const int shift = G::kSigMsbDigit - (x.format().precision() - 1);
-  return (x.exp() - x.format().frac_bits) - shift - G::kTailDigits +
-         G::kFracBits;
+  const int shift = G.sig_msb_digit() - (x.format().precision() - 1);
+  return (x.exp() - x.format().frac_bits) - shift - G.tail_digits() +
+         G.frac_bits();
 }
 
 /// Lifted mantissa bit plane (CsNum::from_signed of the placed significand).
 CsWord lifted_bits(const PFloat& x) {
   const int p = x.format().precision();
   CSFMA_CHECK_MSG(p <= 54, "source significand too wide for the PCS layout");
-  const int shift = G::kSigMsbDigit - (p - 1);
+  const int shift = G.sig_msb_digit() - (p - 1);
   CSFMA_CHECK(shift >= 0);
   const CsWord mag = CsWord(WideUint<7>(WideUint<2>(x.sig()))) << shift;
-  return x.sign() ? (-mag).truncated(G::kMantDigits) : mag;
+  return x.sign() ? (-mag).truncated(G.mant_digits()) : mag;
 }
 
 /// May this operation go through the sliced block?  Excluded: exception
@@ -242,8 +262,8 @@ bool sliceable(const OperandTriple& t) {
   if (t.b.is_zero() || t.c.is_zero()) return false;
   if (t.a.cls() == FpClass::Normal) {
     const int ofs_a =
-        lifted_exp(t.a) - (t.b.exp() + lifted_exp(t.c)) + G::kFracBits;
-    if (ofs_a > G::kAdderWidth - G::kMantDigits) return false;  // pass-through
+        lifted_exp(t.a) - (t.b.exp() + lifted_exp(t.c)) + G.align_const();
+    if (ofs_a > G.adder_width() - G.mant_digits()) return false;  // pass-through
   }
   return true;
 }
@@ -254,10 +274,13 @@ void PcsFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n,
                             PFloat* out, const FmaBatchHooks& hooks) {
   // A SignalTap traces one operation's wires stage by stage; its calls must
   // stay in scalar order, so tapped runs bypass the sliced path entirely.
-  const bool tapped = hooks_ != nullptr && hooks_->tap != nullptr;
+  // The sliced block is sized for the paper geometry; any other geometry
+  // runs scalar.
+  const bool scalar_only =
+      (hooks_ != nullptr && hooks_->tap != nullptr) || geom_ != kPaperPcs;
   std::size_t i = 0;
   while (i < n) {
-    if (tapped || !sliceable(ops[i])) {
+    if (scalar_only || !sliceable(ops[i])) {
       if (hooks.events != nullptr) {
         hooks.events->begin_op(hooks.base_index + i, ops[i].a.to_bits().lo64(),
                                ops[i].b.to_bits().lo64(),
@@ -281,13 +304,13 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
   constexpr int kW = CsWord::kWords;
   // Multiplier tile geometry (lane-invariant): ceil(110/17) x ceil(53/24)
   // rows, in multiply_dsp_tiled's row order (candidate-chunk outer).
-  constexpr int kNCand = (G::kMantDigits + kCandChunk - 1) / kCandChunk;
+  constexpr int kNCand = (G.mant_digits() + kCandChunk - 1) / kCandChunk;
   constexpr int kNMult = (53 + kMultChunk - 1) / kMultChunk;
   constexpr int kRows = kNCand * kNMult;
   // The product rows live at bit kProductOffset and above, so the Wallace
   // tree only needs the top window; the full 385b planes are re-assembled
   // (with the lane-masked negation) below.
-  constexpr int kProdW = G::kAdderWidth - G::kProductOffset;
+  constexpr int kProdW = G.adder_width() - G.product_offset();
 
   // ---- per-lane front end: lift + DSP tile products + A alignment ----
   // (only the per-lane-data work stays scalar; the partial-product tree,
@@ -301,17 +324,15 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
     const PFloat& a = ops[L].a;
     const PFloat& b = ops[L].b;
     const PFloat& c = ops[L].c;
-    CSFMA_CHECK_MSG(b.format().precision() <= 53,
-                    "B must be IEEE binary64 or narrower");
     // C lifts to a binary (carry-free) mantissa with an empty tail, so the
     // rnd_c correction row never fires on this path; the DSP pre-adder
     // assimilation of multiply_dsp_tiled is the identity on it.
     const CsWord c_bits = lifted_bits(c);
-    const std::uint64_t b_sig = b.sig().lo64();
+    const std::uint64_t b_sig = b_port(b).lo64();
     if (b.sign()) neg_mask |= std::uint64_t{1} << L;
     for (int j = 0; j < kNCand; ++j) {
       const int c_lo = j * kCandChunk;
-      const int c_len = std::min(kCandChunk, G::kMantDigits - c_lo);
+      const int c_len = std::min(kCandChunk, G.mant_digits() - c_lo);
       std::int64_t c_val =
           (std::int64_t)wide_read_bits(c_bits.data(), c_lo, c_len);
       if (j == kNCand - 1 && ((c_val >> (c_len - 1)) & 1))
@@ -330,17 +351,17 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
     WideUint<8> a_val;
     int e_a = e_p[L];
     if (a.cls() == FpClass::Normal) {
-      a_val = WideUint<8>(lifted_bits(a)).sext(G::kMantDigits);
+      a_val = WideUint<8>(lifted_bits(a)).sext(G.mant_digits());
       e_a = lifted_exp(a);
     }
-    const int ofs_a = e_a - e_p[L] + G::kFracBits;
+    const int ofs_a = e_a - e_p[L] + G.align_const();
     CsWord a_row;
-    if (!a_val.is_zero() && ofs_a > -G::kMantDigits) {
+    if (!a_val.is_zero() && ofs_a > -G.mant_digits()) {
       WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
-      a_row = CsWord(placed).truncated(G::kAdderWidth);
+      a_row = CsWord(placed).truncated(G.adder_width());
     }
-    a_msb[L] = ofs_a > -G::kMantDigits && !a_val.is_zero()
-                   ? ofs_a + G::kMantDigits - 1
+    a_msb[L] = ofs_a > -G.mant_digits() && !a_val.is_zero()
+                   ? ofs_a + G.mant_digits() - 1
                    : -1;
     for (int w = 0; w < kW; ++w) a_rows[L * kW + w] = a_row.data()[w];
   }
@@ -390,7 +411,7 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
   mul_stats_.levels = 0;
   mul_stats_.compressors = 0;
   for (int m = kRows; m > 2; ++mul_stats_.levels) {
-    mul_stats_.compressors += (m / 3) * G::kAdderWidth;
+    mul_stats_.compressors += (m / 3) * G.adder_width();
     m = (m / 3) * 2 + (m % 3);
   }
 
@@ -398,16 +419,16 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
   //      cs_negate is ~S + ~C + 2, i.e. one 3:2 layer whose planes reduce
   //      to S^C (bit 1 flipped) and ~(S|C) shifted up one (with
   //      ~(S&C) at bit 2), applied only to lanes where B is negative ----
-  std::uint64_t ps[G::kAdderWidth], pc[G::kAdderWidth], ar[G::kAdderWidth];
+  std::uint64_t ps[G.adder_width()], pc[G.adder_width()], ar[G.adder_width()];
   {
     const std::uint64_t nm = neg_mask;
     const auto sum_at = [&](int b) {
-      return b < G::kProductOffset ? 0 : rp[0][b - G::kProductOffset];
+      return b < G.product_offset() ? 0 : rp[0][b - G.product_offset()];
     };
     const auto car_at = [&](int b) {
-      return b < G::kProductOffset ? 0 : rp[1][b - G::kProductOffset];
+      return b < G.product_offset() ? 0 : rp[1][b - G.product_offset()];
     };
-    for (int b = 0; b < G::kAdderWidth; ++b) {
+    for (int b = 0; b < G.adder_width(); ++b) {
       const std::uint64_t s = sum_at(b), cc = car_at(b);
       std::uint64_t neg_s = s ^ cc;
       if (b == 1) neg_s = ~neg_s;
@@ -423,19 +444,19 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
       pc[b] = (cc & ~nm) | (neg_c & nm);
     }
   }
-  slice::pack_words(a_rows, kW, n, G::kAdderWidth, ar);
+  slice::pack_words(a_rows, kW, n, G.adder_width(), ar);
   if (activity_ != nullptr) {
-    activity_->probe("mul.sum", "mul").observe_planes(ps, G::kAdderWidth, n);
-    activity_->probe("mul.carry", "mul").observe_planes(pc, G::kAdderWidth, n);
-    activity_->probe("ashift", "align").observe_planes(ar, G::kAdderWidth, n);
+    activity_->probe("mul.sum", "mul").observe_planes(ps, G.adder_width(), n);
+    activity_->probe("mul.carry", "mul").observe_planes(pc, G.adder_width(), n);
+    activity_->probe("ashift", "align").observe_planes(ar, G.adder_width(), n);
   }
 
   // ---- 385b CS adder, all lanes per word op ----
-  std::uint64_t as[G::kAdderWidth], ac[G::kAdderWidth];
-  slice::compress3(G::kAdderWidth, ps, pc, ar, as, ac);
+  std::uint64_t as[G.adder_width()], ac[G.adder_width()];
+  slice::compress3(G.adder_width(), ps, pc, ar, as, ac);
   if (activity_ != nullptr) {
-    activity_->probe("add.sum", "add").observe_planes(as, G::kAdderWidth, n);
-    activity_->probe("add.carry", "add").observe_planes(ac, G::kAdderWidth, n);
+    activity_->probe("add.sum", "add").observe_planes(as, G.adder_width(), n);
+    activity_->probe("add.carry", "add").observe_planes(ac, G.adder_width(), n);
   }
 
   // Event inputs: one assimilation serves both the cancellation detector
@@ -443,39 +464,39 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
   // carry reduction preserves the value mod 2^385, so the reduced form's
   // binary image is this same plane set.
   std::uint16_t run[slice::kLanes];
-  std::uint64_t bin[G::kAdderWidth];
+  std::uint64_t bin[G.adder_width()];
   std::uint64_t same[6];
   if (events != nullptr) {
-    slice::assimilate(G::kAdderWidth, as, ac, bin);
-    slice::leading_sign_run(G::kAdderWidth, bin, n, run);
+    slice::assimilate(G.adder_width(), as, ac, bin);
+    slice::leading_sign_run(G.adder_width(), bin, n, run);
     // same[j]: lanes whose bits [385 - 55j - 1, 384] are all equal, i.e.
     // skipping j blocks would preserve the signed value
     // (skip_preserves_value in plane form).
     std::uint64_t eq = ~std::uint64_t{0};
-    int b = G::kAdderWidth - 1;
+    int b = G.adder_width() - 1;
     for (int j = 1; j <= 5; ++j) {
-      const int lo = G::kAdderWidth - 1 - j * G::kBlock;
+      const int lo = G.adder_width() - 1 - j * G.block;
       while (b > lo) {
         --b;
-        eq &= ~(bin[b] ^ bin[G::kAdderWidth - 1]);
+        eq &= ~(bin[b] ^ bin[G.adder_width() - 1]);
       }
       same[j] = eq;
     }
   }
 
   // ---- Carry Reduction to group-11 PCS ----
-  std::uint64_t rs[G::kAdderWidth], rc[G::kAdderWidth];
-  slice::carry_reduce(G::kAdderWidth, G::kGroup, as, ac, rs, rc);
+  std::uint64_t rs[G.adder_width()], rc[G.adder_width()];
+  slice::carry_reduce(G.adder_width(), G.group, as, ac, rs, rc);
   if (activity_ != nullptr) {
     activity_->probe("creduce.sum", "creduce")
-        .observe_planes(rs, G::kAdderWidth, n);
+        .observe_planes(rs, G.adder_width(), n);
     activity_->probe("creduce.carry", "creduce")
-        .observe_planes(rc, G::kAdderWidth, n);
+        .observe_planes(rc, G.adder_width(), n);
   }
 
   // ---- Zero Detector: per-lane skip counts from the alive masks ----
   std::uint64_t alive[5];
-  slice::count_skippable_blocks(G::kAdderWidth, G::kBlock, 5, rs, rc, alive);
+  slice::count_skippable_blocks(G.adder_width(), G.block, 5, rs, rc, alive);
   int skip[slice::kLanes];
   std::uint64_t lane_of_k[6] = {};
   for (int L = 0; L < n; ++L) {
@@ -487,49 +508,49 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
 
   // ---- 6:1 block mux in plane form: mant plane b selects the reduced
   //      plane at b + (5-k)*55 for each lane's skip count k ----
-  std::uint64_t ms[G::kMantDigits], mc[G::kMantDigits];
-  for (int b = 0; b < G::kMantDigits; ++b) {
+  std::uint64_t ms[G.mant_digits()], mc[G.mant_digits()];
+  for (int b = 0; b < G.mant_digits(); ++b) {
     std::uint64_t sv = 0, cv = 0;
     for (int k = 0; k <= 5; ++k) {
-      sv |= rs[b + (5 - k) * G::kBlock] & lane_of_k[k];
-      cv |= rc[b + (5 - k) * G::kBlock] & lane_of_k[k];
+      sv |= rs[b + (5 - k) * G.block] & lane_of_k[k];
+      cv |= rc[b + (5 - k) * G.block] & lane_of_k[k];
     }
     ms[b] = sv;
     mc[b] = cv;
   }
   // Tail planes: one block below the mantissa; k == 5 lanes have no block
   // below (mant_lo == 0) and read a zero tail, exactly the scalar default.
-  std::uint64_t ts[G::kTailDigits], tc[G::kTailDigits];
-  for (int b = 0; b < G::kTailDigits; ++b) {
+  std::uint64_t ts[G.tail_digits()], tc[G.tail_digits()];
+  for (int b = 0; b < G.tail_digits(); ++b) {
     std::uint64_t sv = 0, cv = 0;
     for (int k = 0; k <= 4; ++k) {
-      sv |= rs[b + (4 - k) * G::kBlock] & lane_of_k[k];
-      cv |= rc[b + (4 - k) * G::kBlock] & lane_of_k[k];
+      sv |= rs[b + (4 - k) * G.block] & lane_of_k[k];
+      cv |= rc[b + (4 - k) * G.block] & lane_of_k[k];
     }
     ts[b] = sv;
     tc[b] = cv;
   }
   if (activity_ != nullptr) {
-    activity_->probe("mux.sum", "mux").observe_planes(ms, G::kMantDigits, n);
-    activity_->probe("mux.carry", "mux").observe_planes(mc, G::kMantDigits, n);
+    activity_->probe("mux.sum", "mux").observe_planes(ms, G.mant_digits(), n);
+    activity_->probe("mux.carry", "mux").observe_planes(mc, G.mant_digits(), n);
   }
 
   // ---- back to lane-major form; per-lane readout in operation order ----
-  constexpr int kMantWords = (G::kMantDigits + 63) / 64;
+  constexpr int kMantWords = (G.mant_digits() + 63) / 64;
   std::uint64_t mant_sw[slice::kLanes * kMantWords];
   std::uint64_t mant_cw[slice::kLanes * kMantWords];
   std::uint64_t tail_sw[slice::kLanes], tail_cw[slice::kLanes];
-  slice::unpack_words(ms, G::kMantDigits, n, mant_sw, kMantWords);
-  slice::unpack_words(mc, G::kMantDigits, n, mant_cw, kMantWords);
-  slice::unpack_words(ts, G::kTailDigits, n, tail_sw, 1);
-  slice::unpack_words(tc, G::kTailDigits, n, tail_cw, 1);
+  slice::unpack_words(ms, G.mant_digits(), n, mant_sw, kMantWords);
+  slice::unpack_words(mc, G.mant_digits(), n, mant_cw, kMantWords);
+  slice::unpack_words(ts, G.tail_digits(), n, tail_sw, 1);
+  slice::unpack_words(tc, G.tail_digits(), n, tail_cw, 1);
 
   for (int L = 0; L < n; ++L) {
     if (events != nullptr) {
       events->begin_op(base + (std::uint64_t)L, ops[L].a.to_bits().lo64(),
                        ops[L].b.to_bits().lo64(), ops[L].c.to_bits().lo64());
-      const int p_msb = G::kProductOffset + G::kMantDigits + 53;
-      const int out_msb = G::kAdderWidth - 1 - (int)run[L];
+      const int p_msb = G.product_offset() + G.mant_digits() + 53;
+      const int out_msb = G.adder_width() - 1 - (int)run[L];
       const int drop = std::max(a_msb[L], p_msb) - out_msb;
       if (drop >= 50) events->raise(EventKind::Cancellation, drop);
       if (skip[L] < 5 && ((same[skip[L] + 1] >> L) & 1u) != 0) {
@@ -544,17 +565,17 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
     }
     tsum.data()[0] = tail_sw[L];
     tcar.data()[0] = tail_cw[L];
-    PcsNum mant(G::kMantDigits, G::kGroup, msum, mcar);
-    PcsNum tail(G::kTailDigits, G::kGroup, tsum, tcar);
+    PcsNum mant(G.mant_digits(), G.group, msum, mcar);
+    PcsNum tail(G.tail_digits(), G.group, tsum, tcar);
     PcsOperand r;
     if (mant.to_binary().is_zero() && tail.to_binary().is_zero()) {
       r = PcsOperand::make_zero(false);
     } else {
-      const int mant_lo = (5 - skip[L]) * G::kBlock;
-      const int e_r = e_p[L] + mant_lo - G::kFracBits;
-      if (e_r > G::kExpMax) {
+      const int mant_lo = (5 - skip[L]) * G.block;
+      const int e_r = e_p[L] + mant_lo - G.align_const();
+      if (e_r > PcsConfig::kExpMax) {
         r = PcsOperand::make_inf(mant.as_cs().is_value_negative());
-      } else if (e_r < G::kExpMin) {
+      } else if (e_r < PcsConfig::kExpMin) {
         if (events != nullptr) events->raise(EventKind::SubnormalFlush, e_r);
         r = PcsOperand::make_zero(mant.as_cs().is_value_negative());
       } else {

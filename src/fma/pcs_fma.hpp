@@ -1,4 +1,5 @@
-// The PCS-FMA unit (Sec. III-F, Fig 9): R = A + B * C with
+// The PCS-FMA unit (Sec. III-F, Fig 9) at any PcsConfig geometry — the
+// paper's (55, 11) by default: R = A + B * C with
 //   * A, C, R in the 192-bit PCS operand format (deferred rounding data
 //     travels with the value; Sec. III-C),
 //   * B in IEEE 754 binary64 (the non-critical operand stays standard,
@@ -18,6 +19,11 @@
 // documented misrounding cases.  The only value-level shortcut is that
 // two's-complement operands are assimilated where the hardware would use
 // DSP pre-adder / group-adder structures (see csa_tree.hpp and DESIGN.md).
+//
+// Every width (mantissa, tail, adder window, product offset, ZD skip
+// limit) is read from the unit's geometry; the constants above are the
+// paper's.  The bit-sliced batch path exists only for the paper geometry;
+// other geometries run the scalar datapath per operation.
 #pragma once
 
 #include "common/activity.hpp"
@@ -37,10 +43,16 @@ class PcsFma {
   /// one pointer check per operation.
   explicit PcsFma(ActivityRecorder* activity = nullptr,
                   const IntrospectHooks* hooks = nullptr)
-      : activity_(activity), hooks_(hooks) {}
+      : PcsFma(kPaperPcs, activity, hooks) {}
+  /// The unit at another geometry (checked by PcsConfig::validate()).
+  explicit PcsFma(PcsConfig geometry, ActivityRecorder* activity = nullptr,
+                  const IntrospectHooks* hooks = nullptr);
 
-  /// R = A + B * C.  B must be binary64 (or narrower); A and C carry their
-  /// unrounded tails in.
+  const PcsConfig& geometry() const { return geom_; }
+
+  /// R = A + B * C.  B must be binary64 (or narrower; its significand is
+  /// aligned to the 53-bit multiplier port); A and C carry their unrounded
+  /// tails in and must have the unit's geometry.
   PcsOperand fma(const PcsOperand& a, const PFloat& b, const PcsOperand& c);
 
   /// Single-operation convenience with IEEE boundaries: converts the
@@ -49,13 +61,14 @@ class PcsFma {
   /// multiply/add pair computes.
   PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c, Round rm);
 
-  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): runs of
-  /// sliceable operations go through plane-form kernels up to 64 lanes at
-  /// a time — the multiplier and A-alignment stay per-lane, the 385b
-  /// adder, carry reduction, zero detect and block mux run bit-parallel
-  /// across the batch.  Operations with exception operands (NaN, infinity,
-  /// a zero product) or an A pass-through, and any run with a SignalTap
-  /// attached, fall back to the scalar path per operation.  Results,
+  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): at the paper
+  /// geometry, runs of sliceable operations go through plane-form kernels
+  /// up to 64 lanes at a time — the multiplier and A-alignment stay
+  /// per-lane, the 385b adder, carry reduction, zero detect and block mux
+  /// run bit-parallel across the batch.  Operations with exception
+  /// operands (NaN, infinity, a zero product) or an A pass-through, any run
+  /// with a SignalTap attached and every other geometry fall back to the
+  /// scalar path per operation.  Results,
   /// per-probe toggle counts and the event sequence are bit-identical to
   /// the scalar loop (the engine's backend-equivalence gate).
   void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
@@ -67,10 +80,12 @@ class PcsFma {
   int last_zd_skip() const { return last_zd_skip_; }
 
  private:
-  /// One sliced block: all `n` (<= 64) operations must be sliceable.
+  /// One sliced block, sized for the paper geometry: all `n` (<= 64)
+  /// operations must be sliceable.
   void fma_ieee_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
                       EventLog* events, std::uint64_t base);
 
+  PcsConfig geom_;
   ActivityRecorder* activity_;
   const IntrospectHooks* hooks_;
   CsaTreeStats mul_stats_{};

@@ -1,16 +1,15 @@
 #include "fma/pcs_format.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
 
 namespace csfma {
 
-using G = PcsGeometry;
-
 PcsOperand::PcsOperand()
-    : mant_(PcsNum::zero(G::kMantDigits, G::kGroup)),
-      round_(PcsNum::zero(G::kTailDigits, G::kGroup)),
+    : mant_(PcsNum::zero(kPaperPcs.mant_digits(), kPaperPcs.group)),
+      round_(PcsNum::zero(kPaperPcs.tail_digits(), kPaperPcs.group)),
       exp_(0),
       cls_(FpClass::Zero),
       exc_sign_(false) {}
@@ -22,38 +21,38 @@ PcsOperand::PcsOperand(PcsNum mant, PcsNum round, int exp_unbiased, FpClass cls,
       exp_(exp_unbiased),
       cls_(cls),
       exc_sign_(exc_sign) {
-  CSFMA_CHECK(mant_.width() == G::kMantDigits && mant_.group() == G::kGroup);
-  CSFMA_CHECK(round_.width() == G::kTailDigits && round_.group() == G::kGroup);
-  CSFMA_CHECK_MSG(exp_ >= G::kExpMin && exp_ <= G::kExpMax,
+  const PcsConfig geom = geometry();
+  geom.validate();
+  CSFMA_CHECK(mant_.width() == geom.mant_digits() &&
+              mant_.group() == geom.group);
+  CSFMA_CHECK_MSG(exp_ >= PcsConfig::kExpMin && exp_ <= PcsConfig::kExpMax,
                   "exponent outside the excess-2047 field");
 }
 
-PcsOperand PcsOperand::make_zero(bool sign) {
-  PcsOperand r;
-  r.cls_ = FpClass::Zero;
-  r.exc_sign_ = sign;
-  return r;
+PcsOperand PcsOperand::make_zero(bool sign, const PcsConfig& geom) {
+  return PcsOperand(PcsNum::zero(geom.mant_digits(), geom.group),
+                    PcsNum::zero(geom.tail_digits(), geom.group), 0,
+                    FpClass::Zero, sign);
 }
 
-PcsOperand PcsOperand::make_inf(bool sign) {
-  PcsOperand r;
+PcsOperand PcsOperand::make_inf(bool sign, const PcsConfig& geom) {
+  PcsOperand r = make_zero(sign, geom);
   r.cls_ = FpClass::Inf;
-  r.exc_sign_ = sign;
   return r;
 }
 
-PcsOperand PcsOperand::make_nan() {
-  PcsOperand r;
+PcsOperand PcsOperand::make_nan(const PcsConfig& geom) {
+  PcsOperand r = make_zero(false, geom);
   r.cls_ = FpClass::NaN;
   return r;
 }
 
 int PcsOperand::round_increment() const {
   CSFMA_CHECK(cls_ == FpClass::Normal);
-  // Half of one mantissa ulp, in tail scale: the tail covers 55 fractional
-  // digits, so half is 2^54.
+  // Half of one mantissa ulp, in tail scale: the tail covers one block of
+  // fractional digits (55: half is 2^54).
   const CsWord tail = tail_assimilated();
-  const CsWord half = CsWord::bit_at(G::kTailDigits - 1);
+  const CsWord half = CsWord::bit_at(round_.width() - 1);
   if (tail < half) return 0;
   if (tail > half) return 1;
   // Exact tie: round half AWAY FROM ZERO — the direction depends on the
@@ -65,11 +64,11 @@ int PcsOperand::round_increment() const {
 
 bool PcsOperand::round_disagrees_ieee() const {
   CSFMA_CHECK(cls_ == FpClass::Normal);
-  // Decompose the tail against half an ulp (2^54): guard = "at least half",
-  // sticky = "strictly more" — this comparison form also covers the
-  // unwrapped 56-bit tail overflow case, where both modes round up.
+  // Decompose the tail against half an ulp (2^54 at block 55): guard = "at
+  // least half", sticky = "strictly more" — this comparison form also
+  // covers the unwrapped tail overflow case, where both modes round up.
   const CsWord tail = tail_assimilated();
-  const CsWord half = CsWord::bit_at(G::kTailDigits - 1);
+  const CsWord half = CsWord::bit_at(round_.width() - 1);
   const bool guard = !(tail < half);
   const bool sticky = half < tail;
   const bool lsb = mant_.to_binary().bit(0);
@@ -79,24 +78,7 @@ bool PcsOperand::round_disagrees_ieee() const {
 }
 
 PFloat PcsOperand::exact_value() const {
-  switch (cls_) {
-    case FpClass::Zero:
-      return PFloat::zero(kWideExact, exc_sign_);
-    case FpClass::Inf:
-      return PFloat::inf(kWideExact, exc_sign_);
-    case FpClass::NaN:
-      return PFloat::nan(kWideExact);
-    case FpClass::Normal:
-      break;
-  }
-  // X_hat = mant_signed * 2^55 + tail, evaluated in a 512-bit two's
-  // complement workspace.
-  WideUint<8> m = WideUint<8>(mant_.to_binary()).sext(G::kMantDigits);
-  WideUint<8> x = (m << G::kTailDigits) + WideUint<8>(tail_assimilated());
-  const bool sign = x.bit(WideUint<8>::kBits - 1);
-  const WideUint<8> mag = sign ? -x : x;
-  return PFloat::normalize_round(kWideExact, sign, mag, exp_ - G::kFracBits,
-                                 false, Round::NearestEven);
+  return pcs_to_ieee(*this, kWideExact, Round::NearestEven);
 }
 
 std::string PcsOperand::to_string() const {
@@ -115,14 +97,17 @@ std::string PcsOperand::to_string() const {
 U192 PcsOperand::pack_bits() const {
   CSFMA_CHECK_MSG(cls_ == FpClass::Normal,
                   "exceptions travel on side wires, not in the word");
+  CSFMA_CHECK_MSG(geometry() == kPaperPcs,
+                  "the 192-bit word is the paper geometry's layout");
+  constexpr PcsConfig G = kPaperPcs;
   U192 w;
-  w = w.deposit(0, G::kMantDigits, U192(WideUint<3>(mant_.sum())));
+  w = w.deposit(0, G.mant_digits(), U192(WideUint<3>(mant_.sum())));
   // Compress the grid carries (positions 0, 11, ..., 99) into 10 bits.
   for (int g = 0; g < 10; ++g) {
-    w = w.deposit(G::kMantDigits + g, 1,
+    w = w.deposit(G.mant_digits() + g, 1,
                   mant_.carries().bit(11 * g) ? U192::one() : U192());
   }
-  w = w.deposit(120, G::kTailDigits, U192(WideUint<3>(round_.sum())));
+  w = w.deposit(120, G.tail_digits(), U192(WideUint<3>(round_.sum())));
   for (int g = 0; g < 5; ++g) {
     w = w.deposit(175 + g, 1,
                   round_.carries().bit(11 * g) ? U192::one() : U192());
@@ -132,49 +117,56 @@ U192 PcsOperand::pack_bits() const {
 }
 
 PcsOperand PcsOperand::unpack_bits(const U192& bits) {
-  CsWord msum = CsWord(WideUint<7>(bits.extract(0, G::kMantDigits)));
+  constexpr PcsConfig G = kPaperPcs;
+  CsWord msum = CsWord(WideUint<7>(bits.extract(0, G.mant_digits())));
   CsWord mcar;
   for (int g = 0; g < 10; ++g) {
-    if (bits.bit(G::kMantDigits + g)) mcar = mcar | CsWord::bit_at(11 * g);
+    if (bits.bit(G.mant_digits() + g)) mcar = mcar | CsWord::bit_at(11 * g);
   }
-  CsWord tsum = CsWord(WideUint<7>(bits.extract(120, G::kTailDigits)));
+  CsWord tsum = CsWord(WideUint<7>(bits.extract(120, G.tail_digits())));
   CsWord tcar;
   for (int g = 0; g < 5; ++g) {
     if (bits.bit(175 + g)) tcar = tcar | CsWord::bit_at(11 * g);
   }
-  const int exp = (int)bits.extract64(180, 12) - G::kExpBias;
-  return PcsOperand(PcsNum(G::kMantDigits, G::kGroup, msum, mcar),
-                    PcsNum(G::kTailDigits, G::kGroup, tsum, tcar), exp,
+  const int exp = (int)bits.extract64(180, 12) - PcsConfig::kExpBias;
+  return PcsOperand(PcsNum(G.mant_digits(), G.group, msum, mcar),
+                    PcsNum(G.tail_digits(), G.group, tsum, tcar), exp,
                     FpClass::Normal, false);
 }
 
-PcsOperand ieee_to_pcs(const PFloat& x) {
+PcsOperand ieee_to_pcs(const PFloat& x, const PcsConfig& geom) {
   switch (x.cls()) {
     case FpClass::Zero:
-      return PcsOperand::make_zero(x.sign());
+      return PcsOperand::make_zero(x.sign(), geom);
     case FpClass::Inf:
-      return PcsOperand::make_inf(x.sign());
+      return PcsOperand::make_inf(x.sign(), geom);
     case FpClass::NaN:
-      return PcsOperand::make_nan();
+      return PcsOperand::make_nan(geom);
     case FpClass::Normal:
       break;
   }
   const int p = x.format().precision();
   CSFMA_CHECK_MSG(p <= 54, "source significand too wide for the PCS layout");
-  // Place the significand MSB at mantissa digit kSigMsbDigit.
-  const int shift = G::kSigMsbDigit - (p - 1);
-  CSFMA_CHECK(shift >= 0);
-  CsWord mag = CsWord(WideUint<7>(WideUint<2>(x.sig()))) << shift;
-  CsNum mant = CsNum::from_signed(G::kMantDigits, x.sign(), mag);
-  // Exponent: value = X * 2^(exp' - 162) with X = sig << (shift + 55), i.e.
-  // sig * 2^(shift + 55 + exp' - 162), which must equal sig * 2^(e - frac):
-  //   exp' = (e - frac) - shift - 55 + 162.
-  const int exp2_of_sig_lsb = x.exp() - x.format().frac_bits;
-  const int exp_fixed = exp2_of_sig_lsb - shift - G::kTailDigits + G::kFracBits;
-  CSFMA_CHECK(exp_fixed >= G::kExpMin && exp_fixed <= G::kExpMax);
-  return PcsOperand(PcsNum(G::kMantDigits, G::kGroup, mant.sum(), mant.carry()),
-                    PcsNum::zero(G::kTailDigits, G::kGroup), exp_fixed,
-                    FpClass::Normal, x.sign());
+  // Small geometries cannot hold the whole significand below the guard
+  // digit: truncate its low bits on entry (the accuracy loss the ablation
+  // measures).  Then place the MSB at mantissa digit sig_msb_digit().
+  const int keep = std::min(p, geom.sig_msb_digit() + 1);
+  const int shift = geom.sig_msb_digit() - (keep - 1);
+  CsWord mag = CsWord(WideUint<7>(WideUint<2>(x.sig() >> (p - keep)))) << shift;
+  CsNum mant = CsNum::from_signed(geom.mant_digits(), x.sign(), mag);
+  // Exponent: value = X * 2^(exp' - F) with X = sig' << (shift + tail), i.e.
+  // sig' * 2^(shift + tail + exp' - F), which must equal
+  // sig' * 2^(e - frac + p - keep):
+  //   exp' = (e - frac + p - keep) - shift - tail + F.
+  const int exp2_of_sig_lsb = x.exp() - x.format().frac_bits + (p - keep);
+  const int exp_fixed =
+      exp2_of_sig_lsb - shift - geom.tail_digits() + geom.frac_bits();
+  CSFMA_CHECK(exp_fixed >= PcsConfig::kExpMin &&
+              exp_fixed <= PcsConfig::kExpMax);
+  return PcsOperand(
+      PcsNum(geom.mant_digits(), geom.group, mant.sum(), mant.carry()),
+      PcsNum::zero(geom.tail_digits(), geom.group), exp_fixed,
+      FpClass::Normal, x.sign());
 }
 
 PFloat pcs_to_ieee(const PcsOperand& x, const FloatFormat& fmt, Round rm) {
@@ -188,14 +180,17 @@ PFloat pcs_to_ieee(const PcsOperand& x, const FloatFormat& fmt, Round rm) {
     case FpClass::Normal:
       break;
   }
-  WideUint<8> m = WideUint<8>(x.mant().to_binary()).sext(PcsGeometry::kMantDigits);
+  // X_hat = signed(mant) * 2^block + tail, evaluated in a 512-bit two's
+  // complement workspace; value = X_hat * 2^(exp - frac_bits).
+  const PcsConfig geom = x.geometry();
+  WideUint<8> m = WideUint<8>(x.mant().to_binary()).sext(geom.mant_digits());
   WideUint<8> xhat =
-      (m << PcsGeometry::kTailDigits) + WideUint<8>(x.tail_assimilated());
+      (m << geom.tail_digits()) + WideUint<8>(x.tail_assimilated());
   if (xhat.is_zero()) return PFloat::zero(fmt, false);
   const bool sign = xhat.bit(WideUint<8>::kBits - 1);
   const WideUint<8> mag = sign ? -xhat : xhat;
-  return PFloat::normalize_round(fmt, sign, mag,
-                                 x.exp() - PcsGeometry::kFracBits, false, rm);
+  return PFloat::normalize_round(fmt, sign, mag, x.exp() - geom.frac_bits(),
+                                 false, rm);
 }
 
 }  // namespace csfma

@@ -1,4 +1,6 @@
-// The 192-bit PCS-FMA operand format (Sec. III-F) and its IEEE converters.
+// The PCS-FMA operand format (Sec. III-F) and its IEEE converters, at any
+// PcsConfig geometry (pcs_config.hpp); the constants below are the
+// paper's (55, 11).
 //
 // Layout (per paper):  110b mantissa sum + 10b mantissa carries (PCS,
 // carry every 11th bit) + 55b rounding-data sum + 5b rounding-data carries
@@ -16,49 +18,39 @@
 // An IEEE binary64 significand converts in with its MSB (implied 1) at
 // mantissa digit 107, leaving digits 108 (guard) and 109 (two's-complement
 // sign) free — the "52+1 explicit +1 sign +1 guard" budget derived in
-// Sec. III-D, which pins the 55b block size.
+// Sec. III-D, which pins the 55b block size.  At another geometry the
+// widths, the significand entry digit and the binary point are
+// PcsConfig's mant_digits(), tail_digits(), sig_msb_digit() and
+// frac_bits().
 #pragma once
 
 #include "cs/pcs.hpp"
+#include "fma/pcs_config.hpp"
 #include "fp/pfloat.hpp"
 
 namespace csfma {
 
-/// Geometry constants of the PCS-FMA datapath (Sec. III-D/E/F).
-struct PcsGeometry {
-  static constexpr int kBlock = 55;        // result block size
-  static constexpr int kGroup = 11;        // PCS carry spacing
-  static constexpr int kMantDigits = 110;  // two result blocks
-  static constexpr int kTailDigits = 55;   // rounding-data block
-  static constexpr int kAdderWidth = 385;  // 110 + 163 + 110, rounded to 7 blocks
-  static constexpr int kProductWidth = 163;  // 110b x 53b signed product
-  static constexpr int kProductOffset = 110;  // product lsb in adder window
-  static constexpr int kExpBias = 2047;    // excess-2047, 12-bit field
-  static constexpr int kExpMin = -2047;
-  static constexpr int kExpMax = 2048;
-  // Binary-point constant: value = X_hat * 2^(exp - kFracBits).
-  static constexpr int kFracBits = 162;
-  // IEEE significand MSB lands at this mantissa digit on conversion.
-  static constexpr int kSigMsbDigit = 107;
-};
-
-/// One PCS-FMA operand.
+/// One PCS-FMA operand.  Its geometry is read off its planes: the tail is
+/// one block wide and both planes share the carry spacing.
 class PcsOperand {
  public:
-  PcsOperand();
+  PcsOperand();  // +0 in the paper geometry
 
-  /// Normal construction from planes; checks the format grids.
+  /// Normal construction from planes; checks that the planes form a valid
+  /// geometry (mantissa = two tail blocks on one carry grid) and that the
+  /// exponent fits the excess-2047 field.
   PcsOperand(PcsNum mant, PcsNum round, int exp_unbiased, FpClass cls,
              bool exc_sign);
 
-  static PcsOperand make_zero(bool sign);
-  static PcsOperand make_inf(bool sign);
-  static PcsOperand make_nan();
+  static PcsOperand make_zero(bool sign, const PcsConfig& geom = kPaperPcs);
+  static PcsOperand make_inf(bool sign, const PcsConfig& geom = kPaperPcs);
+  static PcsOperand make_nan(const PcsConfig& geom = kPaperPcs);
 
+  PcsConfig geometry() const { return {round_.width(), round_.group()}; }
   const PcsNum& mant() const { return mant_; }
   const PcsNum& round() const { return round_; }
   int exp() const { return exp_; }        // unbiased
-  int exp_field() const { return exp_ + PcsGeometry::kExpBias; }
+  int exp_field() const { return exp_ + PcsConfig::kExpBias; }
   FpClass cls() const { return cls_; }
   bool exc_sign() const { return exc_sign_; }
 
@@ -74,8 +66,9 @@ class PcsOperand {
   /// pre-assimilation sees) — excludes the rounding tail.
   CsWord mant_signed() const { return mant_.signed_value(); }
 
-  /// Exact unsigned assimilation of the rounding tail (56 bits, unwrapped:
-  /// the tail is a non-negative extension, its digit values just add).
+  /// Exact unsigned assimilation of the rounding tail (one digit wider than
+  /// the block, unwrapped: the tail is a non-negative extension, its digit
+  /// values just add).
   CsWord tail_assimilated() const { return round_.sum() + round_.carries(); }
 
   /// The deferred-rounding decision of Sec. III-C/E for mode
@@ -92,8 +85,9 @@ class PcsOperand {
   /// very wide format so nothing is lost.
   PFloat exact_value() const;
 
-  /// The packed 192-bit operand word of Sec. III-F (normal operands only;
-  /// the exception class travels on the two side wires).  Layout, LSB
+  /// The packed 192-bit operand word of Sec. III-F (normal operands of the
+  /// paper geometry only; the exception class travels on the two side
+  /// wires).  Layout, LSB
   /// first: mant sum [0,110) | mant carries (grid-compressed) [110,120) |
   /// tail sum [120,175) | tail carries [175,180) | excess-2047 exp
   /// [180,192).
@@ -110,9 +104,12 @@ class PcsOperand {
   bool exc_sign_;
 };
 
-/// Exact conversion IEEE 754 binary64 (or narrower) -> PCS operand.
-/// This is the CVT operator the HLS pass inserts at chain entries.
-PcsOperand ieee_to_pcs(const PFloat& x);
+/// Conversion IEEE 754 binary64 (or narrower, up to 54 significand bits)
+/// -> PCS operand of geometry `geom`.  This is the CVT operator the HLS
+/// pass inserts at chain entries.  Exact whenever the significand fits
+/// above the guard digit (precision <= sig_msb_digit() + 1, always at the
+/// paper geometry); smaller geometries truncate the low significand bits.
+PcsOperand ieee_to_pcs(const PFloat& x, const PcsConfig& geom = kPaperPcs);
 
 /// Conversion PCS operand -> IEEE-style format: full assimilation,
 /// normalization and a single rounding — the chain-exit CVT operator.

@@ -89,6 +89,7 @@ bool LineChannel::write_line(std::string_view line) {
 
 Listener::~Listener() {
   stop();
+  if (fd_ >= 0) ::close(fd_);
   if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
 }
 
@@ -104,11 +105,11 @@ int Listener::accept_conn() {
 
 void Listener::stop() {
   if (stopped_.exchange(true)) return;
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // Only shut the socket down: accept_conn() may be blocked on fd_ in
+  // another thread, and shutdown wakes it with an error.  Closing (and so
+  // writing fd_) waits for the destructor, after the serving thread is
+  // done with the descriptor.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::unique_ptr<Listener> listen_unix(const std::string& path,

@@ -86,7 +86,9 @@ class Listener {
 
   /// Block for the next connection; -1 after stop() or on a fatal error.
   int accept_conn();
-  /// Unblock accept_conn() and make it return -1 from now on.
+  /// Unblock accept_conn() and make it return -1 from now on.  Safe to
+  /// call from another thread while accept_conn() blocks: it only shuts
+  /// the socket down; the destructor closes it.
   void stop();
 
  private:
@@ -96,7 +98,7 @@ class Listener {
                                               std::string*);
   Listener() = default;
 
-  int fd_ = -1;
+  int fd_ = -1;  // set before the listener is shared; closed only by ~Listener
   int port_ = 0;
   std::string where_;
   std::string unlink_path_;  // Unix: remove the socket file on teardown

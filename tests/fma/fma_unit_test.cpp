@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "fma/classic_fma.hpp"
 #include "fma/discrete.hpp"
@@ -110,6 +112,54 @@ TEST(FmaUnit, ActivityRecorderReceivesToggles) {
                      Round::NearestEven);
     }
     EXPECT_GT(rec.total_toggles(), 0u) << to_string(kind);
+  }
+}
+
+TEST(FmaUnit, NarrowBMatchesWidenedBinary64) {
+  // B may be binary64 or narrower.  A narrower B must give exactly the
+  // result of the same value widened to binary64, in both carry-save units
+  // and through both batch backends: the unit's override (the sliced
+  // kernel for PCS) and the base per-operation loop (the scalar backend).
+  EXPECT_EQ(PcsFma()
+                .fma_ieee(PFloat::zero(kBinary64, false),
+                          PFloat::from_double(FloatFormat{8, 23}, 0.25),
+                          PFloat::from_double(kBinary64, 1.0),
+                          Round::NearestEven)
+                .to_double(),
+            0.25);
+  Rng rng(304);
+  for (const FloatFormat& fmt : {FloatFormat{8, 23}, FloatFormat{3, 2}}) {
+    std::vector<OperandTriple> narrow(256), widened(256);
+    for (std::size_t i = 0; i < narrow.size(); ++i) {
+      narrow[i].a = rand_op(rng);
+      narrow[i].c = rand_op(rng);
+      // Every encoding of the 6-bit format (specials included); binary32
+      // values from the test range.
+      narrow[i].b =
+          fmt.total_bits() == 6
+              ? PFloat::from_bits(fmt, U128(rng.next_below(64)))
+              : PFloat::from_double(fmt, rng.next_fp_in_exp_range(-8, 8));
+      widened[i] = narrow[i];
+      widened[i].b = narrow[i].b.round_to(kBinary64, Round::NearestEven);
+    }
+    for (UnitKind kind : {UnitKind::Pcs, UnitKind::Fcs}) {
+      auto unit = make_fma_unit(kind);
+      std::vector<PFloat> ref(narrow.size()), batch(narrow.size()),
+          loop(narrow.size());
+      FmaBatchHooks hooks;
+      hooks.rm = Round::HalfAwayFromZero;
+      unit->FmaUnit::fma_ieee_batch(widened.data(), widened.size(), ref.data(),
+                                    hooks);
+      unit->fma_ieee_batch(narrow.data(), narrow.size(), batch.data(), hooks);
+      unit->FmaUnit::fma_ieee_batch(narrow.data(), narrow.size(), loop.data(),
+                                    hooks);
+      for (std::size_t i = 0; i < narrow.size(); ++i) {
+        ASSERT_EQ(batch[i].to_bits(), ref[i].to_bits())
+            << to_string(kind) << " batch, B=" << narrow[i].b.to_string();
+        ASSERT_EQ(loop[i].to_bits(), ref[i].to_bits())
+            << to_string(kind) << " loop, B=" << narrow[i].b.to_string();
+      }
+    }
   }
 }
 

@@ -11,15 +11,18 @@ namespace {
 
 TEST(PcsFormat, GeometryMatchesPaper) {
   // Sec. III-F: 110b+10b mantissa, 55b+5b rounding data, 12b exponent = 192b.
-  EXPECT_EQ(PcsGeometry::kMantDigits, 110);
-  EXPECT_EQ(PcsGeometry::kTailDigits, 55);
-  EXPECT_EQ(PcsGeometry::kMantDigits / PcsGeometry::kGroup, 10);
-  EXPECT_EQ(PcsGeometry::kTailDigits / PcsGeometry::kGroup, 5);
+  const PcsConfig& g = kPaperPcs;
+  EXPECT_EQ(g.mant_digits(), 110);
+  EXPECT_EQ(g.tail_digits(), 55);
+  EXPECT_EQ(g.mant_digits() / g.group, 10);
+  EXPECT_EQ(g.tail_digits() / g.group, 5);
   EXPECT_EQ(110 + 10 + 55 + 5 + 12, 192);
   // Sec. III-D: adder 110+163+110 rounded up to the next multiple of 55.
-  EXPECT_EQ(PcsGeometry::kAdderWidth, 385);
-  EXPECT_EQ(PcsGeometry::kAdderWidth % PcsGeometry::kBlock, 0);
-  EXPECT_EQ(PcsGeometry::kProductWidth, 163);
+  EXPECT_EQ(g.adder_width(), 385);
+  EXPECT_EQ(g.adder_width() % g.block, 0);
+  EXPECT_EQ(g.product_width(), 163);
+  // A default operand carries the paper geometry on its planes.
+  EXPECT_EQ(PcsOperand().geometry(), kPaperPcs);
 }
 
 TEST(PcsFormat, IeeeRoundTripExact) {
@@ -119,8 +122,8 @@ TEST(PcsFormat, ExponentFieldRangeEnforced) {
                           PcsNum::zero(55, 11), 3000, FpClass::Normal, false),
                CheckError);
   // Excess-2047 covers more range than IEEE's excess-1023 (Sec. III-F).
-  EXPECT_GT(PcsGeometry::kExpMax, kBinary64.emax());
-  EXPECT_LT(PcsGeometry::kExpMin, kBinary64.emin());
+  EXPECT_GT(PcsConfig::kExpMax, kBinary64.emax());
+  EXPECT_LT(PcsConfig::kExpMin, kBinary64.emin());
 }
 
 TEST(PcsFormat, WiderSourceFormatsConvert) {
@@ -163,13 +166,36 @@ TEST(PcsFormat, PackedWordUses192Bits) {
   // the top, so a maximal-exponent operand lights bit 191.
   CsNum mant = CsNum::from_signed(110, false, CsWord(1ull) << 107);
   PcsOperand top(PcsNum(110, 11, mant.sum(), mant.carry()),
-                 PcsNum::zero(55, 11), PcsGeometry::kExpMax, FpClass::Normal,
+                 PcsNum::zero(55, 11), PcsConfig::kExpMax, FpClass::Normal,
                  false);
   U192 w = top.pack_bits();
   EXPECT_LE(w.bit_width(), 192);
   EXPECT_TRUE(w.bit(191));  // exp field 0xFFF
   // Exceptions refuse to pack (they travel on the side wires).
   EXPECT_THROW(PcsOperand::make_nan().pack_bits(), CheckError);
+  // The word layout is the paper geometry's; other geometries refuse.
+  EXPECT_THROW(ieee_to_pcs(PFloat::from_double(kBinary64, 1.0), kPcs56g8)
+                   .pack_bits(),
+               CheckError);
+}
+
+TEST(PcsFormat, PlanesMustFormOneGeometry) {
+  // The operand reads its geometry off its planes: the mantissa must be
+  // two tail blocks on the tail's carry grid, and the grid must divide
+  // the block.
+  CsNum mant = CsNum::from_signed(110, false, CsWord(1ull) << 107);
+  const PcsNum m110(110, 11, mant.sum(), mant.carry());
+  EXPECT_NO_THROW(PcsOperand(m110, PcsNum::zero(55, 11), 0, FpClass::Normal,
+                             false));
+  EXPECT_THROW(PcsOperand(m110, PcsNum::zero(56, 8), 0, FpClass::Normal,
+                          false),
+               CheckError);  // mantissa is not two tail blocks
+  EXPECT_THROW(PcsOperand(PcsNum::zero(110, 5), PcsNum::zero(55, 11), 0,
+                          FpClass::Normal, false),
+               CheckError);  // grids differ
+  EXPECT_THROW(PcsOperand(PcsNum::zero(110, 10), PcsNum::zero(55, 10), 0,
+                          FpClass::Normal, false),
+               CheckError);  // 10 does not divide 55
 }
 
 }  // namespace

@@ -19,6 +19,13 @@ struct OpCase {
   int emin, emax;
 };
 
+// Printed into the test names that gtest_discover_tests registers; without
+// it gtest dumps the raw bytes, including the address of `name`, and the
+// names change with every run of the discovery.
+void PrintTo(const OpCase& c, std::ostream* os) {
+  *os << c.name << " " << c.emin << ".." << c.emax;
+}
+
 class HostOracle : public ::testing::TestWithParam<OpCase> {};
 
 double host_op(const char* op, double a, double b, double c) {

@@ -16,6 +16,11 @@ struct ModeCase {
   const char* name;
 };
 
+// Printed into the test names that gtest_discover_tests registers; without
+// it gtest dumps the raw bytes, including the padding and the address of
+// `name`, and the names change with every link.
+void PrintTo(const ModeCase& c, std::ostream* os) { *os << c.name; }
+
 class RoundingSweep : public ::testing::TestWithParam<ModeCase> {};
 
 PFloat apply(const char* op, const PFloat& a, const PFloat& b, Round rm) {
