@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   using namespace csfma;
   HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
   OperatorLibrary lib = OperatorLibrary::for_device(virtex6());
 
   // Host-perf phase: insertion with and without elision on the smallest

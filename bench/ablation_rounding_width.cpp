@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   using namespace csfma;
   HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
   const int total_frac = 165;  // fractional digits below the mantissa
 
   // Host-perf phase: a fixed slice of the Monte Carlo misrounding loop at

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   using namespace csfma;
   HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
   const Device dev = virtex6();
 
   // Host-perf phase: both FCS selection variants on a fixed slice of the

@@ -41,6 +41,7 @@ std::string mvm_kernel(int n) {
 int main(int argc, char** argv) {
   HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
   OperatorLibrary lib = OperatorLibrary::for_device(virtex6());
 
   // Host-perf phase: dot insertion + scheduling on the 16x16 MVM (the

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   using namespace csfma;
   HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
   Rng rng(8080);
   PcsDotProduct fused;
   PcsFma fma;

@@ -80,6 +80,7 @@ void run(const char* name, const std::string& src, Report* report,
 int main(int argc, char** argv) {
   HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
 
   // Host-perf phase: the full fir-16 pipeline (parse + both transforms +
   // schedules); the table below runs once.

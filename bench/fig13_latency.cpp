@@ -81,6 +81,8 @@ int main(int argc, char** argv) {
   int argn = (int)argp.size();
   const HarnessOptions hopts = extract_harness_args(argn, argp.data());
   const ReportCliArgs out_paths = extract_report_args(argn, argp.data());
+  reject_leftover_args(argn, argp.data(),
+                       "[--vcd FILE] [--watch N] [--unit NAME]");
   if (watch.enabled()) write_watch_vcd(watch);
   BenchHarness harness("fig13_latency", hopts);
   std::vector<SynthesisReport> rows;

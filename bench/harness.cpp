@@ -78,6 +78,19 @@ namespace {
 
 }  // namespace
 
+void reject_leftover_args(int argc, char** argv, const char* bench_flags) {
+  if (argc <= 1) return;
+  const std::string a = argv[1];
+  const bool help = a == "--help" || a == "-h";
+  if (!help) std::fprintf(stderr, "%s: unknown argument %s\n", argv[0], argv[1]);
+  std::fprintf(stderr,
+               "usage: %s %s%s[--json PATH] [--csv PATH] [--trace PATH]\n"
+               "       %s\n",
+               argv[0], bench_flags, *bench_flags != '\0' ? " " : "",
+               kHarnessUsage);
+  std::exit(help ? 0 : 2);
+}
+
 HarnessOptions extract_harness_args(int& argc, char** argv) {
   HarnessOptions opts;
   int out = 1;

@@ -86,6 +86,13 @@ HarnessOptions extract_harness_args(int& argc, char** argv);
 /// The flags extract_harness_args() understands, for a bench's usage text.
 extern const char* const kHarnessUsage;
 
+/// For benches without positional arguments, called once the harness and
+/// report flags (and any bench-specific ones) are extracted: whatever is
+/// left in argv is unknown.  `--help`/`-h` prints the usage to stderr and
+/// exits 0; any other leftover argument prints it and exits 2.
+/// `bench_flags` lists the bench's own flags for the usage line.
+void reject_leftover_args(int argc, char** argv, const char* bench_flags = "");
+
 class BenchHarness {
  public:
   explicit BenchHarness(std::string name, HarnessOptions opts = {});

@@ -117,18 +117,20 @@ void run_harness_phases(BenchHarness& harness) {
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): harness phases (host-perf
-// baseline) first, then google-benchmark with the remaining argv.
+// Custom main instead of BENCHMARK_MAIN(): argv check, harness phases
+// (host-perf baseline), then the google-benchmark suite.
 int main(int argc, char** argv) {
   HarnessOptions hopts = extract_harness_args(argc, argv);
+  // google-benchmark takes its --benchmark_* flags; any other leftover is
+  // unknown and exits 2 before a phase runs.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   BenchHarness harness("micro_flow", hopts);
   run_harness_phases(harness);
   const std::string baseline = harness.write_baseline();
   if (!baseline.empty())
     std::printf("harness baseline written to %s\n", baseline.c_str());
 
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

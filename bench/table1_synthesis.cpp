@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   using namespace csfma;
   const HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
   const Device dev = virtex6();
   BenchHarness harness("table1_synthesis", hopts);
   std::vector<SynthesisReport> rows;

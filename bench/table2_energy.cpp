@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   using namespace csfma;
   const HarnessOptions hopts = extract_harness_args(argc, argv);
   const ReportCliArgs out_paths = extract_report_args(argc, argv);
+  reject_leftover_args(argc, argv);
   const int runs = 20, depth = 50;  // the paper's benchmark size
   const std::uint64_t seed = 1001;
   BenchHarness harness("table2_energy", hopts);

@@ -271,6 +271,20 @@ class WideUint {
   /// Keep only the low `bits` positions.
   constexpr WideUint truncated(int bits) const { return *this & mask(bits); }
 
+  /// True when no bit at or above position `bits` is set: the word-wise
+  /// form of (*this & ~mask(bits)).is_zero(), without building a mask.
+  constexpr bool fits(int bits) const {
+    CSFMA_CHECK(bits >= 0 && bits <= kBits);
+    int i = bits / 64;
+    if (bits % 64 != 0) {
+      if ((w_[i] >> (bits % 64)) != 0) return false;
+      ++i;
+    }
+    for (; i < W; ++i)
+      if (w_[i] != 0) return false;
+    return true;
+  }
+
   // ---- two's-complement views over a `width`-bit window ----
 
   /// Sign bit of the value interpreted as two's complement in `width` bits.

@@ -7,9 +7,8 @@ namespace csfma {
 CsNum::CsNum(int width, CsWord sum, CsWord carry)
     : width_(width), sum_(sum), carry_(carry) {
   CSFMA_CHECK_MSG(width >= 1 && width <= kCsWordBits, "CS width out of range");
-  CSFMA_CHECK_MSG((sum_ & ~CsWord::mask(width)).is_zero(), "sum plane overflow");
-  CSFMA_CHECK_MSG((carry_ & ~CsWord::mask(width)).is_zero(),
-                  "carry plane overflow");
+  CSFMA_CHECK_MSG(sum_.fits(width), "sum plane overflow");
+  CSFMA_CHECK_MSG(carry_.fits(width), "carry plane overflow");
 }
 
 CsNum CsNum::from_binary(int width, CsWord bits) {

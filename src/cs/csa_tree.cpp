@@ -7,6 +7,94 @@
 
 namespace csfma {
 
+namespace {
+
+/// `n` elements of scratch: a stack array up to `N`, the heap beyond.
+template <class T, int N>
+class Scratch {
+ public:
+  explicit Scratch(int n) {
+    if (n > N) {
+      heap_.resize((std::size_t)n);
+      ptr_ = heap_.data();
+    }
+  }
+  T* data() { return ptr_; }
+
+ private:
+  T stack_[N];
+  std::vector<T> heap_;
+  T* ptr_ = stack_;
+};
+
+/// Rows up to which the tree and the tile table live on the stack (the
+/// PCS multiplier has 21, a binary64 bit-serial multiplier 53).
+constexpr int kStackRows = 64;
+
+/// The Wallace tree, one 64-bit word column at a time.  The 3:2 schedule
+/// depends only on the row count, so word q of every level depends only on
+/// word q of that level's inputs and on one carry bit per compressor: the
+/// top majority bit the compressor produced at word q-1.  Running the whole
+/// schedule per column therefore yields the planes of the row-at-a-time
+/// tree bit for bit, while each row exists only as its current word.
+///
+/// `row_words(q, w)` writes word q of the n input rows to w[0..n).  Words
+/// below `q_begin` must be zero in every row (their columns produce zero
+/// planes and no carries) and are skipped.  Bits at and above `width` may
+/// be set in the top word: carries only move up, so masking the two output
+/// planes there equals truncating every row first.
+template <class RowWords>
+CsNum reduce_columns(int width, int n, int q_begin, const RowWords& row_words,
+                     CsaTreeStats* stats) {
+  if (stats != nullptr) {
+    stats->rows = n;
+    stats->levels = 0;
+    stats->compressors = 0;
+    for (int m = n; m > 2; m = (m / 3) * 2 + (m % 3)) {
+      stats->compressors += (m / 3) * width;
+      ++stats->levels;
+    }
+  }
+  if (n == 0) return CsNum::zero(width);
+
+  // w[0..n): the current column's rows, rewritten front-to-back per level
+  // (a triple at i,i+1,i+2 lands as sum, carry at o,o+1 with o <= i).
+  // cin: one carry bit per compressor; n > 2 rows need n - 2 compressors.
+  const int n_comp = std::max(n - 2, 0);
+  Scratch<std::uint64_t, 2 * kStackRows> scratch(n + n_comp);
+  std::uint64_t* w = scratch.data();
+  std::uint64_t* cin = w + n;
+  std::fill(cin, cin + n_comp, std::uint64_t{0});
+
+  const int nwords = (width + 63) / 64;
+  const std::uint64_t top_mask =
+      width % 64 == 0 ? ~std::uint64_t{0}
+                      : (std::uint64_t{1} << (width % 64)) - 1;
+  CsWord sum, carry;
+  for (int q = q_begin; q < nwords; ++q) {
+    row_words(q, w);
+    int m = n, k = 0;
+    while (m > 2) {
+      int i = 0, o = 0;
+      for (; i + 3 <= m; i += 3, o += 2, ++k) {
+        const std::uint64_t a = w[i], b = w[i + 1], c = w[i + 2];
+        const std::uint64_t maj = (a & b) | (c & (a | b));
+        w[o] = a ^ b ^ c;
+        w[o + 1] = (maj << 1) | cin[k];
+        cin[k] = maj >> 63;  // past the top word it falls off (mod 2^W)
+      }
+      for (; i < m; ++i, ++o) w[o] = w[i];
+      m = o;
+    }
+    const std::uint64_t mask = q == nwords - 1 ? top_mask : ~std::uint64_t{0};
+    sum.data()[q] = w[0] & mask;
+    if (m > 1) carry.data()[q] = w[1] & mask;
+  }
+  return CsNum(width, sum, carry);
+}
+
+}  // namespace
+
 int csa_levels_for_rows(int n) {
   int levels = 0;
   while (n > 2) {
@@ -25,37 +113,18 @@ CsNum reduce_rows(int width, const std::vector<CsWord>& rows,
   return reduce_rows_inplace(width, cur.data(), (int)cur.size(), stats);
 }
 
-CsNum reduce_rows_inplace(int width, CsWord* rows, int n,
+CsNum reduce_rows_inplace(int width, const CsWord* rows, int n,
                           CsaTreeStats* stats) {
   CSFMA_CHECK(width >= 1 && width <= kCsWordBits);
   CSFMA_CHECK(n >= 0);
-  if (stats != nullptr) {
-    stats->rows = n;
-    stats->levels = 0;
-    stats->compressors = 0;
-  }
-  if (n == 0) return CsNum::zero(width);
-  if (n == 1) return CsNum::from_binary(width, rows[0]);
-
-  // Each level rewrites the array front-to-back: a triple at i,i+1,i+2
-  // lands as (sum, carry) at o,o+1 with o <= i, so reads stay ahead of
-  // writes and no per-level buffer is needed.  The carry plane's top
-  // majority bit falls off the window ((maj << 1) mod 2^width), exactly
-  // like compress3.
-  const CsWord wmask = CsWord::mask(width);
-  while (n > 2) {
-    int i = 0, o = 0;
-    for (; i + 3 <= n; i += 3, o += 2) {
-      const CsWord a = rows[i], b = rows[i + 1], c = rows[i + 2];
-      rows[o] = a ^ b ^ c;
-      rows[o + 1] = ((((a & b) | (c & (a | b))) << 1) & wmask);
-      if (stats != nullptr) stats->compressors += width;
-    }
-    for (; i < n; ++i, ++o) rows[o] = rows[i];
-    n = o;
-    if (stats != nullptr) ++stats->levels;
-  }
-  return CsNum(width, rows[0], n > 1 ? rows[1] : CsWord());
+  for (int i = 0; i < n; ++i)
+    CSFMA_CHECK_MSG(rows[i].fits(width), "row " << i << " wider than the tree");
+  return reduce_columns(
+      width, n, 0,
+      [rows, n](int q, std::uint64_t* w) {
+        for (int i = 0; i < n; ++i) w[i] = rows[i].data()[q];
+      },
+      stats);
 }
 
 CsNum multiply_cs_by_binary(const CsNum& multiplicand, const CsWord& multiplier,
@@ -75,22 +144,24 @@ CsNum multiply_cs_by_binary(const CsNum& multiplicand, const CsWord& multiplier,
   // result is identical; fpga/ charges the pre-adder structures separately.
   const CsWord m = multiplicand.signed_value().truncated(out_width);
 
-  // One row per multiplier bit position.  Rows for zero bits are kept so
-  // the tree structure (depth, compressor count) is data-independent, as it
-  // is in the netlist.
-  if (multiplier_width <= 64) {
-    CsWord pp[64];
-    for (int i = 0; i < multiplier_width; ++i) {
-      if (multiplier.bit(i)) pp[i] = (m << i).truncated(out_width);
-    }
-    return reduce_rows_inplace(out_width, pp, multiplier_width, stats);
-  }
-  std::vector<CsWord> pp;
-  pp.reserve((size_t)multiplier_width);
-  for (int i = 0; i < multiplier_width; ++i) {
-    pp.push_back(multiplier.bit(i) ? (m << i).truncated(out_width) : CsWord());
-  }
-  return reduce_rows(out_width, pp, stats);
+  // One row per multiplier bit position, m << i where the bit is set.  Rows
+  // for zero bits are kept so the tree structure (depth, compressor count)
+  // is data-independent, as it is in the netlist.
+  const std::uint64_t* mw = m.data();
+  return reduce_columns(
+      out_width, multiplier_width, 0,
+      [&](int q, std::uint64_t* w) {
+        for (int i = 0; i < multiplier_width; ++i) {
+          const int wi = q - (i >> 6), sh = i & 63;
+          std::uint64_t v = 0;
+          if (multiplier.bit(i) && wi >= 0) {
+            v = mw[wi] << sh;
+            if (sh != 0 && wi >= 1) v |= mw[wi - 1] >> (64 - sh);
+          }
+          w[i] = v;
+        }
+      },
+      stats);
 }
 
 CsNum multiply_dsp_tiled(const CsNum& multiplicand, const CsWord& multiplier,
@@ -112,16 +183,22 @@ CsNum multiply_dsp_tiled(const CsNum& multiplicand, const CsWord& multiplier,
   const int n_cand = (wc + cand_chunk - 1) / cand_chunk;
   const int n_mult = (multiplier_width + mult_chunk - 1) / mult_chunk;
 
-  const CsWord wmask = CsWord::mask(out_width);
-  const int total = n_cand * n_mult;
-  CsWord stack_rows[64];
-  std::vector<CsWord> heap_rows;
-  CsWord* rows = stack_rows;
-  if (total > 64) {
-    heap_rows.resize((size_t)total);
-    rows = heap_rows.data();
+  // One row per DSP tile: its exact (<= 30+30 bit) product placed at bit
+  // t = offset + c_lo + b_lo with sign fill above.  The row is never
+  // materialised at full width; each tile keeps the words it can take.
+  struct Tile {
+    std::uint64_t word[4];  // zero, the product's two words, the sign fill
+    int lo;                 // t >> 6: row word lo + d is word[d + 1]
+  };
+  std::int64_t b_val[32];  // multiplier_width <= 63, mult_chunk >= 2
+  for (int i = 0; i < n_mult; ++i) {
+    const int b_lo = i * mult_chunk;
+    b_val[i] = (std::int64_t)wide_read_bits(
+        multiplier.data(), b_lo, std::min(mult_chunk, multiplier_width - b_lo));
   }
-  int nrows = 0;
+  const int total = n_cand * n_mult;
+  Scratch<Tile, kStackRows> tiles(total);
+  Tile* tile = tiles.data();
   for (int j = 0; j < n_cand; ++j) {
     const int c_lo = j * cand_chunk;
     const int c_len = std::min(cand_chunk, wc - c_lo);
@@ -129,31 +206,24 @@ CsNum multiply_dsp_tiled(const CsNum& multiplicand, const CsWord& multiplier,
     const bool c_signed = (j == n_cand - 1);
     if (c_signed && ((c_val >> (c_len - 1)) & 1)) c_val -= (std::int64_t)1 << c_len;
     for (int i = 0; i < n_mult; ++i) {
-      const int b_lo = i * mult_chunk;
-      const int b_len = std::min(mult_chunk, multiplier_width - b_lo);
-      const std::int64_t b_val =
-          (std::int64_t)wide_read_bits(multiplier.data(), b_lo, b_len);
-      const std::int64_t prod = c_val * b_val;  // <= 30+30 bits, exact
-      // Sign-extend the tile product into the window at its weight: place
-      // the 64-bit product at bit `t`, fill ones above it when negative,
-      // then truncate — identical to the shift-a-sext-512b formulation.
-      CsWord& row = rows[nrows++];
-      row = CsWord();
-      std::uint64_t* rw = row.data();
-      const int t = offset + c_lo + b_lo;
-      const int wi = t >> 6, sh = t & 63;
-      rw[wi] = (std::uint64_t)prod << sh;
-      if (wi + 1 < CsWord::kWords) {
-        rw[wi + 1] = sh != 0 ? (std::uint64_t)prod >> (64 - sh) : 0;
-        if (prod < 0) {
-          rw[wi + 1] |= sh != 0 ? ~std::uint64_t{0} << sh : ~std::uint64_t{0};
-          for (int q = wi + 2; q < CsWord::kWords; ++q) rw[q] = ~std::uint64_t{0};
-        }
-      }
-      row &= wmask;
+      const std::int64_t prod = c_val * b_val[i];
+      const int t = offset + c_lo + i * mult_chunk;
+      const int sh = t & 63;
+      const std::uint64_t fill = (std::uint64_t)(prod >> 63);
+      *tile++ = Tile{{0, (std::uint64_t)prod << sh,
+                      sh != 0 ? (std::uint64_t)(prod >> (64 - sh)) : fill, fill},
+                     t >> 6};
     }
   }
-  return reduce_rows_inplace(out_width, rows, nrows, stats);
+  // Every tile sits at or above `offset`: the columns below are all zero.
+  const Tile* rows = tiles.data();
+  return reduce_columns(
+      out_width, total, offset >> 6,
+      [rows, total](int q, std::uint64_t* w) {
+        for (int r = 0; r < total; ++r)
+          w[r] = rows[r].word[std::clamp(q - rows[r].lo + 1, 0, 3)];
+      },
+      stats);
 }
 
 }  // namespace csfma

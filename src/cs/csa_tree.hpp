@@ -8,6 +8,14 @@
 // paper's "only widen the critical operand" design.  reduce_rows() implements
 // the tree, reporting its height and compressor count for the fpga/ timing
 // and area models, and the exact planes for the energy model.
+//
+// The tree is evaluated one 64-bit word column at a time: the 3:2 schedule
+// depends only on the row count, so each column runs the whole schedule on
+// one word per row, passing one carry bit per compressor to the next
+// column.  The planes are those of the row-at-a-time tree, bit for bit.
+// The multipliers never build a full-width row: they generate each row's
+// word from its partial product as the column needs it.  Stored rows
+// (reduce_rows) are only read.
 #pragma once
 
 #include <vector>
@@ -28,10 +36,11 @@ struct CsaTreeStats {
 CsNum reduce_rows(int width, const std::vector<CsWord>& rows,
                   CsaTreeStats* stats = nullptr);
 
-/// Allocation-free form of reduce_rows for the hot paths: reduces the `n`
-/// rows IN PLACE (the array is clobbered) and returns the same CS pair the
-/// vector overload produces.  Rows must already be truncated to `width`.
-CsNum reduce_rows_inplace(int width, CsWord* rows, int n,
+/// Array form of reduce_rows for the hot paths: reduces the `n` rows
+/// (which are read, not modified) and returns the same CS pair the vector
+/// overload produces.  Rows must already be truncated to `width` (checked);
+/// up to 64 rows need no heap allocation.
+CsNum reduce_rows_inplace(int width, const CsWord* rows, int n,
                           CsaTreeStats* stats = nullptr);
 
 /// Number of 3:2 levels a Wallace tree needs for n inputs (0 for n <= 2).
@@ -61,7 +70,8 @@ CsNum multiply_cs_by_binary(const CsNum& multiplicand, const CsWord& multiplier,
 /// 110x53 multiplier with 17/24-bit chunks yields the paper's 21 DSPs.
 ///
 /// The multiplicand planes are assimilated before slicing (hardware: the
-/// DSP pre-adders / PCS group adders; DESIGN.md substitution note).
+/// DSP pre-adders / PCS group adders; DESIGN.md substitution note).  The
+/// columns below `offset` are all zero and are not evaluated.
 CsNum multiply_dsp_tiled(const CsNum& multiplicand, const CsWord& multiplier,
                          int multiplier_width, int cand_chunk, int mult_chunk,
                          int out_width, int offset,

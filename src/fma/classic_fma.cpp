@@ -32,9 +32,9 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
     CsNum product = multiply_dsp_tiled(
         mant_c, CsWord(WideUint<7>(WideUint<2>(b.sig()))), 53, 17, 24, kWindow,
         kProductLsb, nullptr);
-    if (activity_ != nullptr) {
-      activity_->probe("mul.sum", "mul").observe(product.sum());
-      activity_->probe("mul.carry", "mul").observe(product.carry());
+    if (probes_) {
+      probes_[UnitProbe::MulSum].observe(product.sum());
+      probes_[UnitProbe::MulCarry].observe(product.carry());
     }
     if (tap != nullptr) {
       tap->begin_stage("mul");
@@ -51,9 +51,9 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
       CsWord a_row = CsWord(placed).truncated(kWindow);
       if (b.sign() != c.sign()) product = cs_negate(product);
       CsNum adder = compress3(kWindow, product.sum(), product.carry(), a_row);
-      if (activity_ != nullptr) {
-        activity_->probe("add.sum", "add").observe(adder.sum());
-        activity_->probe("add.carry", "add").observe(adder.carry());
+      if (probes_) {
+        probes_[UnitProbe::AddSum].observe(adder.sum());
+        probes_[UnitProbe::AddCarry].observe(adder.carry());
       }
       if (tap != nullptr) {
         tap->begin_stage("add");
@@ -65,8 +65,8 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
       // steers the variable-distance normalization shifter.
       last_norm_shift_ = lza_estimate(adder, events);
       CsWord assimilated = adder.to_binary();
-      if (activity_ != nullptr) {
-        activity_->probe("norm", "norm").observe(assimilated);
+      if (probes_) {
+        probes_[UnitProbe::Norm].observe(assimilated);
       }
       if (tap != nullptr) {
         tap->begin_stage("norm");

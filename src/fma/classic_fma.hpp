@@ -17,7 +17,7 @@
 // architectural contrast.
 #pragma once
 
-#include "common/activity.hpp"
+#include "fma/unit_probes.hpp"
 #include "fp/pfloat.hpp"
 #include "introspect/hooks.hpp"
 
@@ -29,7 +29,7 @@ class ClassicFma {
   /// both pointers must outlive the unit.  Null costs one pointer check.
   explicit ClassicFma(ActivityRecorder* activity = nullptr,
                       const IntrospectHooks* hooks = nullptr)
-      : activity_(activity), hooks_(hooks) {}
+      : probes_(activity), hooks_(hooks) {}
 
   /// R = A + B * C, all IEEE binary64, round-to-nearest-even (the mode the
   /// 1990 design implements).
@@ -39,7 +39,7 @@ class ClassicFma {
   int last_norm_shift() const { return last_norm_shift_; }
 
  private:
-  ActivityRecorder* activity_;
+  UnitProbes probes_;
   const IntrospectHooks* hooks_;
   int last_norm_shift_ = 0;
 };

@@ -7,7 +7,7 @@
 // activity (every intermediate is re-normalized, so the planes are narrow).
 #pragma once
 
-#include "common/activity.hpp"
+#include "fma/unit_probes.hpp"
 #include "fp/pfloat.hpp"
 #include "introspect/hooks.hpp"
 
@@ -20,7 +20,7 @@ class DiscreteMulAdd {
   /// `hooks` (optional) attaches signal taps; null costs a pointer check.
   explicit DiscreteMulAdd(ActivityRecorder* activity = nullptr,
                           const IntrospectHooks* hooks = nullptr)
-      : activity_(activity), hooks_(hooks) {}
+      : probes_(activity), hooks_(hooks) {}
 
   PFloat mul(const PFloat& a, const PFloat& b);
   PFloat add(const PFloat& a, const PFloat& b);
@@ -29,8 +29,8 @@ class DiscreteMulAdd {
   PFloat mul_add(const PFloat& a, const PFloat& b, const PFloat& c);
 
  private:
-  void probe(const char* name, const char* stage, const PFloat& v);
-  ActivityRecorder* activity_;
+  void probe(UnitProbe p, const PFloat& v);
+  UnitProbes probes_;
   const IntrospectHooks* hooks_;
 };
 

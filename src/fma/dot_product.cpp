@@ -134,9 +134,9 @@ PcsOperand PcsDotProduct::dot(
     }
   }
   CsNum acc = reduce_rows_inplace(G.adder_width(), rows, n_prods, &tree_stats_);
-  if (activity_ != nullptr) {
-    activity_->probe("dot.sum").observe(acc.sum());
-    activity_->probe("dot.carry").observe(acc.carry());
+  if (probes_) {
+    probes_[UnitProbe::DotSum].observe(acc.sum());
+    probes_[UnitProbe::DotCarry].observe(acc.carry());
   }
 
   // ---- Carry Reduce + ZD + 6:1 mux, exactly the PCS-FMA back end ----

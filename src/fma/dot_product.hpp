@@ -17,16 +17,16 @@
 #include <utility>
 #include <vector>
 
-#include "common/activity.hpp"
 #include "cs/csa_tree.hpp"
 #include "fma/pcs_format.hpp"
+#include "fma/unit_probes.hpp"
 
 namespace csfma {
 
 class PcsDotProduct {
  public:
   explicit PcsDotProduct(ActivityRecorder* activity = nullptr)
-      : activity_(activity) {}
+      : probes_(activity) {}
 
   /// Fused sum of products; terms are IEEE binary64 pairs.
   PcsOperand dot(const std::vector<std::pair<PFloat, PFloat>>& terms);
@@ -39,7 +39,7 @@ class PcsDotProduct {
   const CsaTreeStats& last_tree_stats() const { return tree_stats_; }
 
  private:
-  ActivityRecorder* activity_;
+  UnitProbes probes_;
   CsaTreeStats tree_stats_{};
 };
 

@@ -118,9 +118,9 @@ FcsOperand FcsFma::fma(const FcsOperand& a, const PFloat& b,
         product, (b_sig << G::kProductOffset).truncated(G::kAdderWidth));
   }
   if (b.sign()) product = cs_negate(product);
-  if (activity_ != nullptr) {
-    activity_->probe("mul.sum", "mul").observe(product.sum());
-    activity_->probe("mul.carry", "mul").observe(product.carry());
+  if (probes_) {
+    probes_[UnitProbe::MulSum].observe(product.sum());
+    probes_[UnitProbe::MulCarry].observe(product.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("mul");
@@ -138,7 +138,7 @@ FcsOperand FcsFma::fma(const FcsOperand& a, const PFloat& b,
     WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
     a_row = CsWord(placed).truncated(G::kAdderWidth);
   }
-  if (activity_ != nullptr) activity_->probe("ashift", "align").observe(a_row);
+  if (probes_) probes_[UnitProbe::AShift].observe(a_row);
   if (tap != nullptr) {
     tap->begin_stage("align");
     tap->tap("align.ashift", a_row, G::kAdderWidth);
@@ -146,9 +146,9 @@ FcsOperand FcsFma::fma(const FcsOperand& a, const PFloat& b,
 
   // ---- 377c CS adder (3:2); the planes stay raw — no carry reduce ----
   CsNum adder = compress3(G::kAdderWidth, product.sum(), product.carry(), a_row);
-  if (activity_ != nullptr) {
-    activity_->probe("add.sum", "add").observe(adder.sum());
-    activity_->probe("add.carry", "add").observe(adder.carry());
+  if (probes_) {
+    probes_[UnitProbe::AddSum].observe(adder.sum());
+    probes_[UnitProbe::AddCarry].observe(adder.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("add");
@@ -188,9 +188,9 @@ FcsOperand FcsFma::fma(const FcsOperand& a, const PFloat& b,
   if (mant_lo >= G::kBlock) {
     tail = adder.extract_digits(mant_lo - G::kBlock, G::kTailDigits);
   }
-  if (activity_ != nullptr) {
-    activity_->probe("mux.sum", "mux").observe(mant.sum());
-    activity_->probe("mux.carry", "mux").observe(mant.carry());
+  if (probes_) {
+    probes_[UnitProbe::MuxSum].observe(mant.sum());
+    probes_[UnitProbe::MuxCarry].observe(mant.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("mux");

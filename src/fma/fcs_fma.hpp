@@ -15,10 +15,10 @@
 //     positions (the 11:1 mux of Sec. III-H), plus the parallel tail mux.
 #pragma once
 
-#include "common/activity.hpp"
 #include "cs/csa_tree.hpp"
 #include "cs/lza.hpp"
 #include "fma/fcs_format.hpp"
+#include "fma/unit_probes.hpp"
 #include "introspect/hooks.hpp"
 
 namespace csfma {
@@ -38,7 +38,7 @@ class FcsFma {
   explicit FcsFma(ActivityRecorder* activity = nullptr,
                   FcsSelect select = FcsSelect::EarlyLza,
                   const IntrospectHooks* hooks = nullptr)
-      : activity_(activity), select_(select), hooks_(hooks) {}
+      : probes_(activity), select_(select), hooks_(hooks) {}
 
   /// R = A + B * C.  B must be binary64 (or narrower).
   FcsOperand fma(const FcsOperand& a, const PFloat& b, const FcsOperand& c);
@@ -52,7 +52,7 @@ class FcsFma {
   int last_top_block() const { return last_top_block_; }
 
  private:
-  ActivityRecorder* activity_;
+  UnitProbes probes_;
   FcsSelect select_;
   const IntrospectHooks* hooks_ = nullptr;
   CsaTreeStats mul_stats_{};

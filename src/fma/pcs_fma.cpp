@@ -50,7 +50,7 @@ U128 b_port(const PFloat& b) {
 
 PcsFma::PcsFma(PcsConfig geometry, ActivityRecorder* activity,
                const IntrospectHooks* hooks)
-    : geom_(geometry), activity_(activity), hooks_(hooks) {
+    : geom_(geometry), probes_(activity), hooks_(hooks) {
   geom_.validate();
 }
 
@@ -112,9 +112,9 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
                             (b_sig << g.product_offset()).truncated(W));
   }
   if (b.sign()) product = cs_negate(product);
-  if (activity_ != nullptr) {
-    activity_->probe("mul.sum", "mul").observe(product.sum());
-    activity_->probe("mul.carry", "mul").observe(product.carry());
+  if (probes_) {
+    probes_[UnitProbe::MulSum].observe(product.sum());
+    probes_[UnitProbe::MulCarry].observe(product.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("mul");
@@ -142,7 +142,7 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
     WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
     a_row = CsWord(placed).truncated(W);
   }
-  if (activity_ != nullptr) activity_->probe("ashift", "align").observe(a_row);
+  if (probes_) probes_[UnitProbe::AShift].observe(a_row);
   if (tap != nullptr) {
     tap->begin_stage("align");
     tap->tap("align.ashift", a_row, W);
@@ -150,9 +150,9 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
 
   // ---- CS adder: product planes + aligned A row (3:2) ----
   CsNum adder = compress3(W, product.sum(), product.carry(), a_row);
-  if (activity_ != nullptr) {
-    activity_->probe("add.sum", "add").observe(adder.sum());
-    activity_->probe("add.carry", "add").observe(adder.carry());
+  if (probes_) {
+    probes_[UnitProbe::AddSum].observe(adder.sum());
+    probes_[UnitProbe::AddCarry].observe(adder.carry());
   }
   if (tap != nullptr) {
     tap->begin_stage("add");
@@ -172,9 +172,9 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
 
   // ---- Carry Reduction to the group-spaced PCS form (Sec. III-E) ----
   PcsNum reduced = carry_reduce(adder, g.group);
-  if (activity_ != nullptr) {
-    activity_->probe("creduce.sum", "creduce").observe(reduced.sum());
-    activity_->probe("creduce.carry", "creduce").observe(reduced.carries());
+  if (probes_) {
+    probes_[UnitProbe::CreduceSum].observe(reduced.sum());
+    probes_[UnitProbe::CreduceCarry].observe(reduced.carries());
   }
   if (tap != nullptr) {
     tap->begin_stage("creduce");
@@ -193,9 +193,9 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
   if (mant_lo >= g.block) {
     tail = reduced.extract_digits(mant_lo - g.block, g.tail_digits());
   }
-  if (activity_ != nullptr) {
-    activity_->probe("mux.sum", "mux").observe(mant.sum());
-    activity_->probe("mux.carry", "mux").observe(mant.carries());
+  if (probes_) {
+    probes_[UnitProbe::MuxSum].observe(mant.sum());
+    probes_[UnitProbe::MuxCarry].observe(mant.carries());
   }
   if (tap != nullptr) {
     tap->begin_stage("mux");
@@ -445,18 +445,18 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
     }
   }
   slice::pack_words(a_rows, kW, n, G.adder_width(), ar);
-  if (activity_ != nullptr) {
-    activity_->probe("mul.sum", "mul").observe_planes(ps, G.adder_width(), n);
-    activity_->probe("mul.carry", "mul").observe_planes(pc, G.adder_width(), n);
-    activity_->probe("ashift", "align").observe_planes(ar, G.adder_width(), n);
+  if (probes_) {
+    probes_[UnitProbe::MulSum].observe_planes(ps, G.adder_width(), n);
+    probes_[UnitProbe::MulCarry].observe_planes(pc, G.adder_width(), n);
+    probes_[UnitProbe::AShift].observe_planes(ar, G.adder_width(), n);
   }
 
   // ---- 385b CS adder, all lanes per word op ----
   std::uint64_t as[G.adder_width()], ac[G.adder_width()];
   slice::compress3(G.adder_width(), ps, pc, ar, as, ac);
-  if (activity_ != nullptr) {
-    activity_->probe("add.sum", "add").observe_planes(as, G.adder_width(), n);
-    activity_->probe("add.carry", "add").observe_planes(ac, G.adder_width(), n);
+  if (probes_) {
+    probes_[UnitProbe::AddSum].observe_planes(as, G.adder_width(), n);
+    probes_[UnitProbe::AddCarry].observe_planes(ac, G.adder_width(), n);
   }
 
   // Event inputs: one assimilation serves both the cancellation detector
@@ -487,11 +487,9 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
   // ---- Carry Reduction to group-11 PCS ----
   std::uint64_t rs[G.adder_width()], rc[G.adder_width()];
   slice::carry_reduce(G.adder_width(), G.group, as, ac, rs, rc);
-  if (activity_ != nullptr) {
-    activity_->probe("creduce.sum", "creduce")
-        .observe_planes(rs, G.adder_width(), n);
-    activity_->probe("creduce.carry", "creduce")
-        .observe_planes(rc, G.adder_width(), n);
+  if (probes_) {
+    probes_[UnitProbe::CreduceSum].observe_planes(rs, G.adder_width(), n);
+    probes_[UnitProbe::CreduceCarry].observe_planes(rc, G.adder_width(), n);
   }
 
   // ---- Zero Detector: per-lane skip counts from the alive masks ----
@@ -530,9 +528,9 @@ void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
     ts[b] = sv;
     tc[b] = cv;
   }
-  if (activity_ != nullptr) {
-    activity_->probe("mux.sum", "mux").observe_planes(ms, G.mant_digits(), n);
-    activity_->probe("mux.carry", "mux").observe_planes(mc, G.mant_digits(), n);
+  if (probes_) {
+    probes_[UnitProbe::MuxSum].observe_planes(ms, G.mant_digits(), n);
+    probes_[UnitProbe::MuxCarry].observe_planes(mc, G.mant_digits(), n);
   }
 
   // ---- back to lane-major form; per-lane readout in operation order ----

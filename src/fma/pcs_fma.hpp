@@ -26,11 +26,11 @@
 // other geometries run the scalar datapath per operation.
 #pragma once
 
-#include "common/activity.hpp"
 #include "cs/csa_tree.hpp"
 #include "cs/zero_detect.hpp"
 #include "fma/fma_unit.hpp"
 #include "fma/pcs_format.hpp"
+#include "fma/unit_probes.hpp"
 #include "introspect/hooks.hpp"
 
 namespace csfma {
@@ -86,7 +86,7 @@ class PcsFma {
                       EventLog* events, std::uint64_t base);
 
   PcsConfig geom_;
-  ActivityRecorder* activity_;
+  UnitProbes probes_;
   const IntrospectHooks* hooks_;
   CsaTreeStats mul_stats_{};
   int last_zd_skip_ = 0;

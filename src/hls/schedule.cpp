@@ -112,9 +112,16 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
   auto cmp = [&path](int a, int b) { return path[(size_t)a] < path[(size_t)b]; };
   std::priority_queue<int, std::vector<int>, decltype(cmp)> ready(cmp);
 
+  // A node waits for each distinct producer once: users() lists a node
+  // that reads one producer twice (y = x*x) a single time, so counting
+  // arity() would leave it waiting forever.
   int live_count = 0;
   for (int id : order) {
-    remaining_deps[(size_t)id] = g.node(id).arity();
+    const std::vector<int>& args = g.node(id).args;
+    int distinct = 0;
+    for (auto it = args.begin(); it != args.end(); ++it)
+      distinct += std::find(args.begin(), it, *it) == it ? 1 : 0;
+    remaining_deps[(size_t)id] = distinct;
     ++live_count;
     if (remaining_deps[(size_t)id] == 0) ready.push(id);
   }

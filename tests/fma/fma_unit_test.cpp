@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -113,6 +117,68 @@ TEST(FmaUnit, ActivityRecorderReceivesToggles) {
     }
     EXPECT_GT(rec.total_toggles(), 0u) << to_string(kind);
   }
+}
+
+/// The recorder JSON after running `ops` through `kind`: through one unit
+/// (batched or per operation), or through a fresh unit per operation,
+/// whose probe handles all start unresolved, so that every observation
+/// looks its probe up by name.
+std::string activity_json(UnitKind kind, const std::vector<OperandTriple>& ops,
+                          const char* mode) {
+  ActivityRecorder rec;
+  std::unique_ptr<FmaUnit> unit = make_fma_unit(kind, &rec);
+  if (std::string(mode) == "batch") {
+    std::vector<PFloat> out(ops.size());
+    unit->fma_ieee_batch(ops.data(), ops.size(), out.data(), FmaBatchHooks{});
+    return rec.to_json();
+  }
+  for (const OperandTriple& t : ops) {
+    if (std::string(mode) == "fresh") unit = make_fma_unit(kind, &rec);
+    unit->fma_ieee(t.a, t.b, t.c, Round::NearestEven);
+  }
+  return rec.to_json();
+}
+
+TEST(FmaUnit, ProbeHandlesMatchFreshLookups) {
+  const auto d = [](double v) { return PFloat::from_double(kBinary64, v); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Every product has a NaN, infinite or zero factor: no carry-save or
+  // classic datapath stage is reached.
+  std::vector<OperandTriple> special;
+  for (double a : {nan, inf, -inf, 0.0, 1.5})
+    for (double b : {nan, inf, 0.0, -0.0, 3.0})
+      for (double c : {nan, -inf, 0.0}) special.push_back({d(a), d(b), d(c)});
+  // The addend is far above the product: classic multiplies but never
+  // reaches its adder or normalizer.
+  std::vector<OperandTriple> far;
+  for (int i = 0; i < 8; ++i)
+    far.push_back({d(std::ldexp(1.0, 90 + i)), d(1.25 + i), d(-0.75 - i)});
+  Rng rng(305);
+  std::vector<OperandTriple> mixed = special;
+  for (const OperandTriple& t : far) mixed.push_back(t);
+  for (int i = 0; i < 64; ++i)
+    mixed.push_back({rand_op(rng), rand_op(rng), rand_op(rng)});
+
+  for (UnitKind kind : kAllUnitKinds) {
+    for (const auto* ops : {&special, &far, &mixed}) {
+      const std::string fresh = activity_json(kind, *ops, "fresh");
+      EXPECT_EQ(activity_json(kind, *ops, "one"), fresh) << to_string(kind);
+      EXPECT_EQ(activity_json(kind, *ops, "batch"), fresh) << to_string(kind);
+    }
+    if (kind != UnitKind::Discrete) {
+      // Nothing reached, nothing recorded: not even zero-count probes.
+      EXPECT_EQ(activity_json(kind, special, "one"), ActivityRecorder().to_json())
+          << to_string(kind);
+    }
+  }
+  ActivityRecorder rec;
+  auto classic = make_fma_unit(UnitKind::Classic, &rec);
+  for (const OperandTriple& t : far)
+    classic->fma_ieee(t.a, t.b, t.c, Round::NearestEven);
+  EXPECT_EQ(rec.probes().count("mul.sum"), 1u);
+  EXPECT_EQ(rec.probes().count("add.sum"), 0u);
+  EXPECT_EQ(rec.probes().count("norm"), 0u);
 }
 
 TEST(FmaUnit, NarrowBMatchesWidenedBinary64) {

@@ -96,6 +96,29 @@ TEST(Schedule, ListUnlimitedMatchesAsap) {
   EXPECT_EQ(list.length, asap.length);
 }
 
+TEST(Schedule, ListHandlesRepeatedOperands) {
+  // y = x*x reads one producer twice; users() lists y once, so y must wait
+  // for x once.  z = y*y + y repeats a producer inside a wider node.
+  OperatorLibrary l = lib();
+  Cdfg g;
+  int a = g.add_input("a");
+  int b = g.add_input("b");
+  int x = g.add_op(OpKind::Add, {a, b});
+  int y = g.add_op(OpKind::Mul, {x, x});
+  int yy = g.add_op(OpKind::Mul, {y, y});
+  int z = g.add_op(OpKind::Add, {yy, y});
+  g.add_output("z", z);
+  const Schedule asap = schedule_asap(g, l);
+  for (int limit : {0, 1}) {
+    ResourceLimits lim;
+    lim.mul = limit;
+    lim.add_sub = limit;
+    const Schedule list = schedule_list(g, l, lim);
+    EXPECT_EQ(list.length, asap.length) << "limit " << limit;
+    EXPECT_EQ(list.start[(size_t)y], asap.start[(size_t)y]);
+  }
+}
+
 TEST(Schedule, ListResourceLimitSerializesIndependentOps) {
   OperatorLibrary l = lib();
   // 8 independent multiplies; a single multiplier issues one per cycle

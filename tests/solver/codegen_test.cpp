@@ -87,6 +87,24 @@ TEST(Codegen, FmaPassShortensLdlsolveSchedule) {
   }
 }
 
+TEST(Codegen, LdlfactorKernelsListSchedule) {
+  // The ldlfactor kernels square their pivots (a node reading one producer
+  // twice); the list scheduler must finish them, within the ASAP bound,
+  // with and without FMA insertion and under an FMA-unit limit.
+  const OperatorLibrary lib = OperatorLibrary::for_device(virtex6());
+  for (const auto& s : paper_solvers()) {
+    for (FmaStyle style : {FmaStyle::Pcs, FmaStyle::Fcs}) {
+      KernelInfo k = parse_kernel(s.ldlfactor_src);
+      insert_fma_units(k.graph, lib, style);
+      const int asap = schedule_asap(k.graph, lib).length;
+      EXPECT_EQ(schedule_list(k.graph, lib, {}).length, asap) << s.name;
+      ResourceLimits lim;
+      lim.fma = 4;
+      EXPECT_GE(schedule_list(k.graph, lib, lim).length, asap) << s.name;
+    }
+  }
+}
+
 TEST(Codegen, LdlfactorKernelMatchesDenseReference) {
   const auto s = make_benchmark_solver("small", 4);
   KernelInfo k = parse_kernel(s.ldlfactor_src);
