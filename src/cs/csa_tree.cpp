@@ -46,15 +46,7 @@ constexpr int kStackRows = 64;
 template <class RowWords>
 CsNum reduce_columns(int width, int n, int q_begin, const RowWords& row_words,
                      CsaTreeStats* stats) {
-  if (stats != nullptr) {
-    stats->rows = n;
-    stats->levels = 0;
-    stats->compressors = 0;
-    for (int m = n; m > 2; m = (m / 3) * 2 + (m % 3)) {
-      stats->compressors += (m / 3) * width;
-      ++stats->levels;
-    }
-  }
+  if (stats != nullptr) *stats = csa_tree_stats(n, width);
   if (n == 0) return CsNum::zero(width);
 
   // w[0..n): the current column's rows, rewritten front-to-back per level
@@ -102,6 +94,16 @@ int csa_levels_for_rows(int n) {
     ++levels;
   }
   return levels;
+}
+
+CsaTreeStats csa_tree_stats(int rows, int width) {
+  CsaTreeStats st;
+  st.rows = rows;
+  for (int m = rows; m > 2; m = (m / 3) * 2 + (m % 3)) {
+    st.compressors += (m / 3) * width;
+    ++st.levels;
+  }
+  return st;
 }
 
 CsNum reduce_rows(int width, const std::vector<CsWord>& rows,
@@ -168,52 +170,68 @@ CsNum multiply_dsp_tiled(const CsNum& multiplicand, const CsWord& multiplier,
                          int multiplier_width, int cand_chunk, int mult_chunk,
                          int out_width, int offset,
                          CsaTreeStats* stats) {
-  const int wc = multiplicand.width();
-  CSFMA_CHECK(cand_chunk >= 2 && cand_chunk <= 30);
-  CSFMA_CHECK(mult_chunk >= 2 && mult_chunk <= 30);
-  CSFMA_CHECK(multiplier_width >= 1 && multiplier_width <= 63);
-  CSFMA_CHECK(offset >= 0 && offset + wc + multiplier_width <= out_width + 1);
+  CSFMA_CHECK(offset >= 0 &&
+              offset + multiplicand.width() + multiplier_width <= out_width + 1);
   CSFMA_CHECK(out_width <= kCsWordBits);
   CSFMA_CHECK((multiplier & ~CsWord::mask(multiplier_width)).is_zero());
-
   // Assimilate the multiplicand planes (DSP pre-adder step), then slice its
-  // two's-complement representation.  All slices are unsigned except the
-  // top one, which carries the sign.
-  const CsWord m = multiplicand.to_binary();
-  const int n_cand = (wc + cand_chunk - 1) / cand_chunk;
-  const int n_mult = (multiplier_width + mult_chunk - 1) / mult_chunk;
+  // two's-complement representation.
+  const DspTiling t{multiplicand.width(), multiplier_width, cand_chunk,
+                    mult_chunk};
+  Scratch<std::int64_t, kStackRows> prod(t.rows());
+  dsp_tile_products(t, multiplicand.to_binary(), multiplier.data()[0],
+                    prod.data());
+  return reduce_tile_products(t, prod.data(), out_width, offset, stats);
+}
 
+void dsp_tile_products(const DspTiling& t, const CsWord& cand_bits,
+                       std::uint64_t multiplier, std::int64_t* prod) {
+  CSFMA_CHECK(t.cand_chunk >= 2 && t.cand_chunk <= 30);
+  CSFMA_CHECK(t.mult_chunk >= 2 && t.mult_chunk <= 30);
+  CSFMA_CHECK(t.mult_width >= 1 && t.mult_width <= 63);
+  CSFMA_CHECK((multiplier >> t.mult_width) == 0);
+  // All slices are unsigned except the multiplicand's top one, which
+  // carries the sign.
+  const int n_cand = t.cand_tiles(), n_mult = t.mult_tiles();
+  std::int64_t b_val[32];  // mult_width <= 63, mult_chunk >= 2
+  for (int i = 0; i < n_mult; ++i) {
+    const int b_lo = i * t.mult_chunk;
+    const int b_len = std::min(t.mult_chunk, t.mult_width - b_lo);
+    b_val[i] = (std::int64_t)((multiplier >> b_lo) &
+                              ((std::uint64_t{1} << b_len) - 1));
+  }
+  for (int j = 0; j < n_cand; ++j) {
+    const int c_lo = j * t.cand_chunk;
+    const int c_len = std::min(t.cand_chunk, t.cand_width - c_lo);
+    std::int64_t c_val =
+        (std::int64_t)wide_read_bits(cand_bits.data(), c_lo, c_len);
+    if (j == n_cand - 1 && ((c_val >> (c_len - 1)) & 1))
+      c_val -= (std::int64_t)1 << c_len;
+    for (int i = 0; i < n_mult; ++i) *prod++ = c_val * b_val[i];
+  }
+}
+
+CsNum reduce_tile_products(const DspTiling& t, const std::int64_t* prod,
+                           int out_width, int offset, CsaTreeStats* stats) {
+  CSFMA_CHECK(offset >= 0 && out_width <= kCsWordBits);
   // One row per DSP tile: its exact (<= 30+30 bit) product placed at bit
-  // t = offset + c_lo + b_lo with sign fill above.  The row is never
-  // materialised at full width; each tile keeps the words it can take.
+  // offset + weight with sign fill above.  The row is never materialised
+  // at full width; each tile keeps the words it can take.
   struct Tile {
     std::uint64_t word[4];  // zero, the product's two words, the sign fill
-    int lo;                 // t >> 6: row word lo + d is word[d + 1]
+    int lo;                 // w >> 6: row word lo + d is word[d + 1]
   };
-  std::int64_t b_val[32];  // multiplier_width <= 63, mult_chunk >= 2
-  for (int i = 0; i < n_mult; ++i) {
-    const int b_lo = i * mult_chunk;
-    b_val[i] = (std::int64_t)wide_read_bits(
-        multiplier.data(), b_lo, std::min(mult_chunk, multiplier_width - b_lo));
-  }
-  const int total = n_cand * n_mult;
+  const int total = t.rows();
   Scratch<Tile, kStackRows> tiles(total);
   Tile* tile = tiles.data();
-  for (int j = 0; j < n_cand; ++j) {
-    const int c_lo = j * cand_chunk;
-    const int c_len = std::min(cand_chunk, wc - c_lo);
-    std::int64_t c_val = (std::int64_t)wide_read_bits(m.data(), c_lo, c_len);
-    const bool c_signed = (j == n_cand - 1);
-    if (c_signed && ((c_val >> (c_len - 1)) & 1)) c_val -= (std::int64_t)1 << c_len;
-    for (int i = 0; i < n_mult; ++i) {
-      const std::int64_t prod = c_val * b_val[i];
-      const int t = offset + c_lo + i * mult_chunk;
-      const int sh = t & 63;
-      const std::uint64_t fill = (std::uint64_t)(prod >> 63);
-      *tile++ = Tile{{0, (std::uint64_t)prod << sh,
-                      sh != 0 ? (std::uint64_t)(prod >> (64 - sh)) : fill, fill},
-                     t >> 6};
-    }
+  for (int r = 0; r < total; ++r) {
+    const std::int64_t p = prod[r];
+    const int w = offset + t.weight(r);
+    const int sh = w & 63;
+    const std::uint64_t fill = (std::uint64_t)(p >> 63);
+    tile[r] = Tile{{0, (std::uint64_t)p << sh,
+                    sh != 0 ? (std::uint64_t)(p >> (64 - sh)) : fill, fill},
+                   w >> 6};
   }
   // Every tile sits at or above `offset`: the columns below are all zero.
   const Tile* rows = tiles.data();

@@ -18,6 +18,7 @@
 // (reduce_rows) are only read.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "cs/cs_num.hpp"
@@ -46,6 +47,10 @@ CsNum reduce_rows_inplace(int width, const CsWord* rows, int n,
 /// Number of 3:2 levels a Wallace tree needs for n inputs (0 for n <= 2).
 int csa_levels_for_rows(int n);
 
+/// The geometry of a Wallace tree over `rows` rows of `width` bits: it
+/// depends on the row count only, never on the data.
+CsaTreeStats csa_tree_stats(int rows, int width);
+
 /// Signed × unsigned partial-product multiplier:
 ///   multiplicand — a CS number (two planes, two's complement) of width wc;
 ///   multiplier   — a plain binary unsigned word of width wb (the IEEE
@@ -72,9 +77,39 @@ CsNum multiply_cs_by_binary(const CsNum& multiplicand, const CsWord& multiplier,
 /// The multiplicand planes are assimilated before slicing (hardware: the
 /// DSP pre-adders / PCS group adders; DESIGN.md substitution note).  The
 /// columns below `offset` are all zero and are not evaluated.
+/// multiply_dsp_tiled is dsp_tile_products followed by
+/// reduce_tile_products; callers that keep the tile products per operation
+/// (the bit-sliced PCS datapath) call the two halves.
 CsNum multiply_dsp_tiled(const CsNum& multiplicand, const CsWord& multiplier,
                          int multiplier_width, int cand_chunk, int mult_chunk,
                          int out_width, int offset,
                          CsaTreeStats* stats = nullptr);
+
+/// The DSP tiling of a signed `cand_width`-bit multiplicand by an unsigned
+/// `mult_width`-bit multiplier.  Tile row r pairs candidate chunk
+/// r / mult_tiles() with multiplier chunk r % mult_tiles().
+struct DspTiling {
+  int cand_width, mult_width, cand_chunk, mult_chunk;
+
+  int cand_tiles() const { return (cand_width + cand_chunk - 1) / cand_chunk; }
+  int mult_tiles() const { return (mult_width + mult_chunk - 1) / mult_chunk; }
+  int rows() const { return cand_tiles() * mult_tiles(); }
+  /// Bit weight of tile row r's product.
+  int weight(int r) const {
+    return (r / mult_tiles()) * cand_chunk + (r % mult_tiles()) * mult_chunk;
+  }
+};
+
+/// The exact tile products prod[0..rows()): the multiplicand's
+/// two's-complement image `cand_bits` (cand_width bits, top chunk signed)
+/// sliced against `multiplier` (mult_width bits, unsigned).
+void dsp_tile_products(const DspTiling& t, const CsWord& cand_bits,
+                       std::uint64_t multiplier, std::int64_t* prod);
+
+/// The CSA tree over tile products: row r is prod[r] placed at bit
+/// offset + t.weight(r) with sign fill above, within `out_width`.
+CsNum reduce_tile_products(const DspTiling& t, const std::int64_t* prod,
+                           int out_width, int offset,
+                           CsaTreeStats* stats = nullptr);
 
 }  // namespace csfma

@@ -21,8 +21,9 @@ PcsNum::PcsNum(int width, int group, CsWord sum, CsWord carries)
     : width_(width), group_(group), sum_(sum), carries_(carries) {
   CSFMA_CHECK_MSG(width >= 1 && width <= kCsWordBits, "PCS width");
   CSFMA_CHECK_MSG(group >= 1 && group <= width, "PCS group");
-  CSFMA_CHECK_MSG((sum_ & ~CsWord::mask(width)).is_zero(), "sum plane overflow");
-  CSFMA_CHECK_MSG((carries_ & ~group_position_mask(width, group)).is_zero(),
+  CSFMA_CHECK_MSG(sum_.fits(width), "sum plane overflow");
+  CSFMA_CHECK_MSG(carries_.is_zero() ||
+                      (carries_ & ~group_position_mask(width, group)).is_zero(),
                   "carry bits off the group grid");
 }
 

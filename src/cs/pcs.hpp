@@ -33,7 +33,7 @@ class PcsNum {
   /// View as a generic CS pair (digit i = sum_i + carries_i).
   CsNum as_cs() const { return CsNum(width_, sum_, carries_); }
 
-  CsWord to_binary() const { return as_cs().to_binary(); }
+  CsWord to_binary() const { return (sum_ + carries_).truncated(width_); }
   CsWord signed_value() const { return as_cs().signed_value(); }
 
   /// Extract `len` digits starting at `lo`; `lo` must be group-aligned so

@@ -1,5 +1,6 @@
 #include "engine/slice.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/check.hpp"
@@ -61,16 +62,6 @@ void unpack_words(const std::uint64_t* planes, int width_bits, int n,
   }
 }
 
-void pack(const CsWord* vals, int n, int width_bits, std::uint64_t* planes) {
-  static_assert(sizeof(CsWord) == CsWord::kWords * sizeof(std::uint64_t));
-  pack_words(vals->data(), CsWord::kWords, n, width_bits, planes);
-}
-
-void unpack(const std::uint64_t* planes, int width_bits, int n,
-            CsWord* vals) {
-  unpack_words(planes, width_bits, n, vals->data(), CsWord::kWords);
-}
-
 void compress3(int width, const std::uint64_t* a, const std::uint64_t* b,
                const std::uint64_t* c, std::uint64_t* out_s,
                std::uint64_t* out_c) {
@@ -83,6 +74,47 @@ void compress3(int width, const std::uint64_t* a, const std::uint64_t* b,
     out_c[i] = prev_maj;
     prev_maj = (ai & bi) | (ci & (ai | bi));
   }
+}
+
+void reduce_tiles(int width, int n, const int* lo, const std::uint64_t* tiles,
+                  std::uint64_t* scratch, std::uint64_t* out_s,
+                  std::uint64_t* out_c) {
+  CSFMA_CHECK(width >= 1 && n >= 2);
+  for (int r = 0; r < n; ++r) {
+    const std::uint64_t* tp = tiles + r * 64;
+    std::uint64_t* row = scratch + r * width;
+    const int b0 = lo[r] < width ? lo[r] : width;
+    const int b1 = lo[r] + 64 < width ? lo[r] + 64 : width;
+    for (int b = 0; b < b0; ++b) row[b] = 0;
+    for (int b = b0; b < b1; ++b) row[b] = tp[b - b0];
+    for (int b = b1; b < width; ++b) row[b] = tp[63];
+  }
+  // Each level compresses rows (i, i+1, i+2) into (o, o+1) with o <= i and
+  // moves the leftovers down: reduce_rows' schedule, row for row.
+  while (n > 2) {
+    int i = 0, o = 0;
+    for (; i + 3 <= n; i += 3, o += 2) {
+      const std::uint64_t* ra = scratch + i * width;
+      const std::uint64_t* rb = ra + width;
+      const std::uint64_t* rc = rb + width;
+      std::uint64_t* os = scratch + o * width;
+      std::uint64_t* oc = os + width;
+      std::uint64_t prev_maj = 0;
+      for (int b = 0; b < width; ++b) {
+        const std::uint64_t x = ra[b], y = rb[b], z = rc[b];
+        os[b] = x ^ y ^ z;  // reads precede writes: o <= i, o+1 <= i+1
+        oc[b] = prev_maj;
+        prev_maj = (x & y) | (z & (x | y));  // top majority drops (mod 2^W)
+      }
+    }
+    for (; i < n; ++i, ++o) {
+      if (o != i) std::copy(scratch + i * width, scratch + (i + 1) * width,
+                            scratch + o * width);
+    }
+    n = o;
+  }
+  std::copy(scratch, scratch + width, out_s);
+  std::copy(scratch + width, scratch + 2 * width, out_c);
 }
 
 void carry_reduce(int width, int group, const std::uint64_t* s,
@@ -174,38 +206,6 @@ void leading_sign_run(int width, const std::uint64_t* bin, int n,
       newly &= newly - 1;
       run[L] = (std::uint16_t)(width - 2 - b);
     }
-  }
-}
-
-void lza_estimate(int width, const std::uint64_t* s, const std::uint64_t* c,
-                  int n, std::uint16_t* est, std::uint64_t* scratch) {
-  CSFMA_CHECK(width >= 1 && n >= 0 && n <= kLanes);
-  // Mirror of the scalar behavioural model (cs/lza.cpp): assimilate, find
-  // the boundary bit, then fall one short exactly when the assimilation
-  // carry reaches the boundary.
-  std::uint64_t* bin = scratch;
-  std::uint64_t* carry_in = scratch + width;
-  assimilate(width, s, c, bin);
-  for (int b = 0; b < width; ++b) carry_in[b] = bin[b] ^ s[b] ^ c[b];
-  const std::uint64_t sign = bin[width - 1];
-  std::uint64_t undecided = lanes_mask(n);
-  int boundary[kLanes];
-  for (int L = 0; L < n; ++L) boundary[L] = -1;
-  for (int b = width - 2; b >= 0 && undecided != 0; --b) {
-    std::uint64_t newly = (bin[b] ^ sign) & undecided;
-    undecided &= ~newly;
-    while (newly != 0) {
-      const int L = std::countr_zero(newly);
-      newly &= newly - 1;
-      boundary[L] = b;
-    }
-  }
-  for (int L = 0; L < n; ++L) {
-    const int run = boundary[L] < 0 ? width - 1 : (width - 2) - boundary[L];
-    const int hit_pos = boundary[L] < 0 ? width - 1 : boundary[L];
-    const int hit = (int)((carry_in[hit_pos] >> L) & 1u);
-    const int e = run - hit;
-    est[L] = (std::uint16_t)(e < 0 ? 0 : e);
   }
 }
 

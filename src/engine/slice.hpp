@@ -31,8 +31,6 @@
 
 #include <cstdint>
 
-#include "cs/cs_num.hpp"
-
 namespace csfma::slice {
 
 /// Lanes per plane word — one operation per bit of a machine word.
@@ -55,10 +53,6 @@ void pack_words(const std::uint64_t* lanes, int stride_words, int n,
 void unpack_words(const std::uint64_t* planes, int width_bits, int n,
                   std::uint64_t* lanes, int stride_words);
 
-/// CsWord-array conveniences for the datapath simulators.
-void pack(const CsWord* vals, int n, int width_bits, std::uint64_t* planes);
-void unpack(const std::uint64_t* planes, int width_bits, int n, CsWord* vals);
-
 // ---- bit-parallel kernels ------------------------------------------------
 //
 // Each kernel evaluates its scalar namesake for all 64 lanes per word op.
@@ -71,6 +65,16 @@ void unpack(const std::uint64_t* planes, int width_bits, int n, CsWord* vals);
 void compress3(int width, const std::uint64_t* a, const std::uint64_t* b,
                const std::uint64_t* c, std::uint64_t* out_s,
                std::uint64_t* out_c);
+
+/// The DSP-tile CSA tree (cs/csa_tree.hpp reduce_tile_products) for all
+/// lanes: row r is a 64-bit tile product, its planes at
+/// tiles[r * 64, r * 64 + 64), placed at bit lo[r] of the `width`-bit
+/// window with sign fill above.  The n >= 2 rows are built in `scratch`
+/// (n * width words) and reduce there with the scalar tree's 3:2
+/// schedule into out_s/out_c.
+void reduce_tiles(int width, int n, const int* lo, const std::uint64_t* tiles,
+                  std::uint64_t* scratch, std::uint64_t* out_s,
+                  std::uint64_t* out_c);
 
 /// Partial carry-save group reduction (cs/pcs.hpp carry_reduce): per
 /// `group`-bit segment, assimilate sum+carry planes with a plane-form
@@ -100,13 +104,5 @@ void count_skippable_blocks(int width, int block, int max_skip,
 /// sign bit, capped at width-1.  Only lanes [0, n) are written.
 void leading_sign_run(int width, const std::uint64_t* bin, int n,
                       std::uint16_t* run);
-
-/// Behavioural LZA (cs/lza.hpp lza_estimate) across lanes: est[L] is the
-/// anticipated (lower-bound) leading sign run of lane L's CS value, with
-/// the same carry-hits-boundary error signature as the scalar model.
-/// Uses `scratch`, a caller-provided plane array of at least 2*width
-/// words.  Only lanes [0, n) are written.
-void lza_estimate(int width, const std::uint64_t* s, const std::uint64_t* c,
-                  int n, std::uint16_t* est, std::uint64_t* scratch);
 
 }  // namespace csfma::slice

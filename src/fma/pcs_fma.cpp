@@ -1,6 +1,8 @@
 #include "fma/pcs_fma.hpp"
 
 #include <algorithm>
+#include <initializer_list>
+#include <utility>
 
 #include "common/check.hpp"
 #include "cs/lza.hpp"
@@ -19,6 +21,15 @@ namespace {
 constexpr int kCandChunk = 17;
 constexpr int kMultChunk = 24;
 
+/// The multiplier's tiling at geometry g: C's mantissa by the 53-bit B port.
+DspTiling tiling(const PcsConfig& g) {
+  return {g.mant_digits(), 53, kCandChunk, kMultChunk};
+}
+/// Tile rows at the widest valid geometry (block 62: ceil(124/17) * 3).
+constexpr int kMaxTiles = 24;
+/// Adder blocks at the narrowest valid geometry (block 8: 6 + ceil(53/8)).
+constexpr int kMaxBlocks = 13;
+
 /// Sign of a normal operand's value (mantissa two's complement; a zero
 /// mantissa with a non-zero tail is positive).
 bool value_sign(const PcsOperand& x) {
@@ -26,191 +37,142 @@ bool value_sign(const PcsOperand& x) {
   return x.mant().as_cs().is_value_negative();
 }
 
-/// A's pass-through result when the product falls entirely below A's
-/// window: apply A's deferred rounding, clear the tail.
-PcsOperand passthrough_rounded(const PcsOperand& a, int rnd_a) {
+/// How one operation leaves the unit.
+enum class Route {
+  SideWire,     // a NaN or infinite operand (Sec. III-B): a class result
+  ZeroProduct,  // B or C is zero: the result is A, rounded
+  PassThrough,  // A lies wholly left of the adder window: after the
+                // multiplier, the result is A, rounded
+  Datapath,     // through the adder, carry reduction, ZD and mux (Fig 9)
+};
+
+/// One operation's lane data: what the per-lane front end hands the stages
+/// and what the stages hand back to the per-lane readout.
+struct Lane {
+  std::int64_t tiles[kMaxTiles];  // DSP tile products of B_M x C_M
+  std::uint64_t b_sig;            // B on the 53-bit port
+  bool b_neg;                     // B's sign: the product is negated
+  bool rnd_c;                     // C's deferred rounding: the +B_M row
+  int rnd_a;                      // A's deferred rounding (Fig 5)
+  bool misround_a, misround_c;    // deferred rounding differs from IEEE
+  int e_p;                        // product exponent e_B + e_C
+  CsWord a_row;                   // A, rounded and aligned in the window
+  int a_msb;                      // A's top window digit, -1 when empty
+  int sign_run;                   // adder output's leading sign run
+  int skip;                       // ZD block-skip count
+  bool zd_late;                   // one more block was skippable
+};
+
+/// The per-lane front end: routes the operation and, past the side wires,
+/// fills `l` with the deferred rounding decisions (Sec. III-C), the DSP
+/// tile products and A's alignment (Fig 5; in parallel to the multiply).
+/// Misrounding flags are only computed when `events` is set.
+Route front_end(const PcsOperand& a, const PFloat& b, const PcsOperand& c,
+                const PcsConfig& g, bool events, Lane& l) {
+  if (a.is_nan() || b.is_nan() || c.is_nan() || a.is_inf() || b.is_inf() ||
+      c.is_inf())
+    return Route::SideWire;
+  const bool a_normal = a.cls() == FpClass::Normal;
+  const bool c_normal = c.cls() == FpClass::Normal;
+  l.rnd_a = a_normal ? a.round_increment() : 0;
+  l.rnd_c = c_normal && c.round_increment() != 0;
+  l.misround_a = events && a_normal && a.round_disagrees_ieee();
+  l.misround_c = events && c_normal && c.round_disagrees_ieee();
+  if (b.is_zero() || c.is_zero()) return Route::ZeroProduct;
+
+  // Multiplier operands: C's assimilated mantissa (the DSP pre-adders)
+  // sliced against B on the 53-bit port.  A narrower B's significand moves
+  // up to the port's MSB, which keeps the product scale (and so
+  // e_P = e_B + e_C) format-independent.
+  const int p = b.format().precision();
+  CSFMA_CHECK_MSG(p <= 53, "B must be IEEE binary64 or narrower");
+  l.b_sig = (b.sig() << (53 - p)).lo64();
+  l.b_neg = b.sign();
+  dsp_tile_products(tiling(g), c.mant().to_binary(), l.b_sig, l.tiles);
+  l.e_p = b.exp() + c.exp();
+
+  // A path: deferred rounding + pre-shift.  The A mantissa is assimilated
+  // here (see header note).
+  const int W = g.adder_width();
+  const int M = g.mant_digits();
+  const int e_a = a_normal ? a.exp() : l.e_p;  // zero: any
+  const WideUint<8> a_val =
+      WideUint<8>(a_normal ? a.mant().to_binary() : CsWord()).sext(M) +
+      WideUint<8>((std::uint64_t)l.rnd_a);
+  const int ofs_a = e_a - l.e_p + g.align_const();
+  l.a_row = CsWord();
+  l.a_msb = -1;
+  if (a_val.is_zero()) return Route::Datapath;
+  // A entirely left of the adder window: the product cannot influence
+  // even the rounding tail.
+  if (ofs_a > W - M) return Route::PassThrough;
+  if (ofs_a > -M) {
+    // The 512-bit sign extension makes the negative-offset shift arithmetic.
+    const WideUint<8> placed =
+        ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
+    l.a_row = CsWord(placed).truncated(W);
+    l.a_msb = ofs_a + M - 1;
+  }
+  return Route::Datapath;
+}
+
+/// The result of an operation that leaves before the adder: the exception
+/// side wires (Sec. III-B), a zero product or A's pass-through.
+PcsOperand bypass_result(Route route, const PcsOperand& a, const PFloat& b,
+                         const PcsOperand& c, int rnd_a) {
   const PcsConfig g = a.geometry();
-  CsNum bumped = compress3(g.mant_digits(), a.mant().sum(), a.mant().carries(),
-                           CsWord((std::uint64_t)rnd_a));
-  PcsNum mant = carry_reduce(bumped, g.group);
+  const bool p_sign = b.sign() != value_sign(c);
+  if (route == Route::SideWire) {
+    if (a.is_nan() || b.is_nan() || c.is_nan()) return PcsOperand::make_nan(g);
+    if (b.is_inf() || c.is_inf()) {
+      if (b.is_zero() || c.is_zero()) return PcsOperand::make_nan(g);
+      if (a.is_inf() && a.exc_sign() != p_sign) return PcsOperand::make_nan(g);
+      return PcsOperand::make_inf(p_sign, g);
+    }
+    return PcsOperand::make_inf(a.exc_sign(), g);
+  }
+  if (route == Route::ZeroProduct && a.is_zero()) {
+    // -0 only if both are negative.
+    return PcsOperand::make_zero(p_sign && value_sign(a), g);
+  }
+  // A alone reaches the result: apply its deferred rounding, clear the tail.
+  const PcsNum mant = carry_reduce(
+      compress3(g.mant_digits(), a.mant().sum(), a.mant().carries(),
+                CsWord((std::uint64_t)rnd_a)),
+      g.group);
   return PcsOperand(mant, PcsNum::zero(g.tail_digits(), g.group), a.exp(),
                     FpClass::Normal, value_sign(a));
 }
 
-/// B's significand on the 53-bit multiplier port: a narrower format's
-/// significand is shifted up so its MSB sits at port bit 52, which keeps
-/// the product scale (and so e_P = e_B + e_C) format-independent.
-U128 b_port(const PFloat& b) {
-  const int p = b.format().precision();
-  CSFMA_CHECK_MSG(p <= 53, "B must be IEEE binary64 or narrower");
-  return b.sig() << (53 - p);
+/// The documented misrounding of the deferred half-away-from-zero rule:
+/// detail 0 = the A operand's tail, 1 = C's (see fp/rounding.hpp).
+void raise_rounding_events(EventLog* events, const Lane& l) {
+  if (events == nullptr) return;
+  if (l.misround_a) events->raise(EventKind::MisroundVsIeee, 0);
+  if (l.misround_c) events->raise(EventKind::MisroundVsIeee, 1);
 }
 
-}  // namespace
-
-PcsFma::PcsFma(PcsConfig geometry, ActivityRecorder* activity,
-               const IntrospectHooks* hooks)
-    : geom_(geometry), probes_(activity), hooks_(hooks) {
-  geom_.validate();
+/// The adder and ZD events of one lane: catastrophic cancellation (the
+/// sum's top digit landed >= 50 positions below the highest input digit,
+/// in window coordinates), then a ZD that stopped short of a
+/// value-preserving skip (Fig 10).
+void raise_stage_events(EventLog* events, const Lane& l, const PcsConfig& g) {
+  if (events == nullptr) return;
+  const int p_msb = g.product_offset() + g.mant_digits() + 53;
+  const int out_msb = g.adder_width() - 1 - l.sign_run;
+  const int drop = std::max(l.a_msb, p_msb) - out_msb;
+  if (drop >= 50) events->raise(EventKind::Cancellation, drop);
+  if (l.zd_late) events->raise(EventKind::ZeroDetectLate, l.skip);
 }
 
-PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
-                       const PcsOperand& c) {
-  const PcsConfig& g = geom_;
-  CSFMA_CHECK_MSG(a.geometry() == g && c.geometry() == g,
-                  "operand geometry differs from the unit's");
-  SignalTap* tap = hooks_ != nullptr ? hooks_->tap : nullptr;
-  EventLog* events = hooks_ != nullptr ? hooks_->events : nullptr;
-  // ---- exception side-wires (Sec. III-B) ----
-  if (a.is_nan() || b.is_nan() || c.is_nan()) return PcsOperand::make_nan(g);
-  const bool b_zero = b.is_zero();
-  const bool c_zero = c.is_zero();
-  const bool p_inf = b.is_inf() || c.is_inf();
-  const bool p_sign = b.sign() != value_sign(c);
-  if (p_inf) {
-    if (b_zero || c_zero) return PcsOperand::make_nan(g);
-    if (a.is_inf() && a.exc_sign() != p_sign) return PcsOperand::make_nan(g);
-    return PcsOperand::make_inf(p_sign, g);
-  }
-  if (a.is_inf()) return PcsOperand::make_inf(a.exc_sign(), g);
-
-  // ---- deferred rounding decisions (Sec. III-C) ----
-  const int rnd_a = a.cls() == FpClass::Normal ? a.round_increment() : 0;
-  const int rnd_c = c.cls() == FpClass::Normal ? c.round_increment() : 0;
-  if (events != nullptr) {
-    // The documented misrounding of the deferred half-away-from-zero rule:
-    // detail 0 = the A operand's tail, 1 = C's (see fp/rounding.hpp).
-    if (a.cls() == FpClass::Normal && a.round_disagrees_ieee()) {
-      events->raise(EventKind::MisroundVsIeee, 0);
-    }
-    if (c.cls() == FpClass::Normal && c.round_disagrees_ieee()) {
-      events->raise(EventKind::MisroundVsIeee, 1);
-    }
-  }
-
-  if (b_zero || c_zero) {
-    // Product is zero: the result is (rounded) A.
-    if (a.is_zero()) {
-      const bool s = p_sign && value_sign(a);  // -0 only if both negative
-      return PcsOperand::make_zero(s, g);
-    }
-    return passthrough_rounded(a, rnd_a);
-  }
-  const CsWord b_sig = CsWord(WideUint<7>(b_port(b)));
-
-  // ---- multiplier: B_M x unrounded C_M as a DSP-tiled CSA tree, built
-  //      directly in the adder window at the product offset so the
-  //      product planes stay in carry-save form into the adder (Fig 9).
-  //      C's deferred rounding becomes the +B_M correction row (Fig 6). ----
-  const int W = g.adder_width();
-  const int M = g.mant_digits();
-  const CsNum c_mant = c.mant().as_cs();
-  CsNum product = multiply_dsp_tiled(c_mant, b_sig, 53, kCandChunk, kMultChunk,
-                                     W, g.product_offset(), &mul_stats_);
-  if (rnd_c != 0) {
-    product = cs_add_binary(product,
-                            (b_sig << g.product_offset()).truncated(W));
-  }
-  if (b.sign()) product = cs_negate(product);
-  if (probes_) {
-    probes_[UnitProbe::MulSum].observe(product.sum());
-    probes_[UnitProbe::MulCarry].observe(product.carry());
-  }
-  if (tap != nullptr) {
-    tap->begin_stage("mul");
-    tap->tap("mul.sum", product.sum(), W);
-    tap->tap("mul.carry", product.carry(), W);
-  }
-  const int e_p = b.exp() + c.exp();
-
-  // ---- A path: deferred rounding + pre-shift (parallel to the multiply;
-  //      Fig 5).  The A mantissa is assimilated here (see header note). ----
-  const int e_a = a.cls() == FpClass::Normal ? a.exp() : e_p;  // zero: any
-  WideUint<8> a_val =
-      WideUint<8>(a.cls() == FpClass::Normal ? a.mant().to_binary() : CsWord())
-          .sext(M) +
-      WideUint<8>((std::uint64_t)rnd_a);
-  const int ofs_a = e_a - e_p + g.align_const();
-  if (!a_val.is_zero() && ofs_a > W - M) {
-    // A is entirely left of the adder window: the product cannot influence
-    // even the rounding tail; pass A through.
-    return passthrough_rounded(a, rnd_a);
-  }
-  CsWord a_row;
-  if (!a_val.is_zero() && ofs_a > -M) {
-    // The 512-bit sign extension makes the negative-offset shift arithmetic.
-    WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
-    a_row = CsWord(placed).truncated(W);
-  }
-  if (probes_) probes_[UnitProbe::AShift].observe(a_row);
-  if (tap != nullptr) {
-    tap->begin_stage("align");
-    tap->tap("align.ashift", a_row, W);
-  }
-
-  // ---- CS adder: product planes + aligned A row (3:2) ----
-  CsNum adder = compress3(W, product.sum(), product.carry(), a_row);
-  if (probes_) {
-    probes_[UnitProbe::AddSum].observe(adder.sum());
-    probes_[UnitProbe::AddCarry].observe(adder.carry());
-  }
-  if (tap != nullptr) {
-    tap->begin_stage("add");
-    tap->tap("add.sum", adder.sum(), W);
-    tap->tap("add.carry", adder.carry(), W);
-  }
-  if (events != nullptr) {
-    // Catastrophic cancellation: the sum's most significant digit landed
-    // far (>= 50 digit positions) below the highest input digit.  Window
-    // coordinates keep PFloat/PCS exponent conventions out of it.
-    const int a_msb = ofs_a > -M && !a_val.is_zero() ? ofs_a + M - 1 : -1;
-    const int p_msb = g.product_offset() + M + 53;
-    const int out_msb = W - 1 - leading_sign_run(adder);
-    const int drop = std::max(a_msb, p_msb) - out_msb;
-    if (drop >= 50) events->raise(EventKind::Cancellation, drop);
-  }
-
-  // ---- Carry Reduction to the group-spaced PCS form (Sec. III-E) ----
-  PcsNum reduced = carry_reduce(adder, g.group);
-  if (probes_) {
-    probes_[UnitProbe::CreduceSum].observe(reduced.sum());
-    probes_[UnitProbe::CreduceCarry].observe(reduced.carries());
-  }
-  if (tap != nullptr) {
-    tap->begin_stage("creduce");
-    tap->tap("creduce.sum", reduced.sum(), W);
-    tap->tap("creduce.carry", reduced.carries(), W);
-  }
-
-  // ---- Zero Detector + block multiplexer (6:1 at 55b; Sec. III-D/F) ----
-  const int max_skip = g.adder_blocks() - 2;
-  const int k =
-      count_skippable_blocks(reduced.as_cs(), g.block, max_skip, events);
-  last_zd_skip_ = k;
-  const int mant_lo = (max_skip - k) * g.block;
-  PcsNum mant = reduced.extract_digits(mant_lo, M);
-  PcsNum tail = PcsNum::zero(g.tail_digits(), g.group);
-  if (mant_lo >= g.block) {
-    tail = reduced.extract_digits(mant_lo - g.block, g.tail_digits());
-  }
-  if (probes_) {
-    probes_[UnitProbe::MuxSum].observe(mant.sum());
-    probes_[UnitProbe::MuxCarry].observe(mant.carries());
-  }
-  if (tap != nullptr) {
-    tap->begin_stage("mux");
-    // k <= adder_blocks() - 2, at most 11 for the smallest valid block.
-    tap->tap_u64("mux.zd_skip", (std::uint64_t)k, 4);
-    tap->tap("mux.sum", mant.sum(), M);
-    tap->tap("mux.carry", mant.carries(), M);
-  }
-
+/// Exponent update: one lane's result from its muxed mantissa and tail.
+PcsOperand finish(const Lane& l, const PcsNum& mant, const PcsNum& tail,
+                  const PcsConfig& g, EventLog* events) {
   if (mant.to_binary().is_zero() && tail.to_binary().is_zero()) {
     return PcsOperand::make_zero(false, g);
   }
-
-  // ---- exponent update ----
-  const int e_r = e_p + mant_lo - g.align_const();
+  const int max_skip = g.adder_blocks() - 2;
+  const int e_r = l.e_p + (max_skip - l.skip) * g.block - g.align_const();
   if (e_r > PcsConfig::kExpMax) {
     return PcsOperand::make_inf(mant.as_cs().is_value_negative(), g);
   }
@@ -221,367 +183,413 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
   return PcsOperand(mant, tail, e_r, FpClass::Normal, false);
 }
 
+// ---- word policies: the type that holds a stage's values and its word
+//      primitives.  OneLane runs one operation on the src/cs words;
+//      Planes runs up to 64 in slice:: bit-plane form. ----
+
+struct OneLane {
+  using Mask = bool;
+  using Word = CsWord;
+  using Cs = CsNum;
+  using Pcs = PcsNum;
+  struct Mux {
+    PcsNum mant, tail;
+  };
+
+  static const CsWord& sum(const CsNum& x) { return x.sum(); }
+  static const CsWord& carry(const CsNum& x) { return x.carry(); }
+  static const CsWord& sum(const PcsNum& x) { return x.sum(); }
+  static const CsWord& carry(const PcsNum& x) { return x.carries(); }
+
+  static CsNum product(const Lane* l, int, const PcsConfig& g,
+                       CsaTreeStats* stats) {
+    return reduce_tile_products(tiling(g), l[0].tiles, g.adder_width(),
+                                g.product_offset(), stats);
+  }
+  static CsWord b_row(const Lane* l, int, const PcsConfig& g) {
+    return CsWord(l[0].b_sig) << g.product_offset();
+  }
+  static CsWord a_row(const Lane* l, int, int) { return l[0].a_row; }
+  static void select(Mask m, CsNum& dst, const CsNum& src, int) {
+    if (m) dst = src;
+  }
+  static CsNum compress3(int w, const CsNum& x, const CsWord& row) {
+    return csfma::compress3(w, x.sum(), x.carry(), row);
+  }
+  static CsNum negate(int, const CsNum& x) { return cs_negate(x); }
+  static PcsNum carry_reduce(const CsNum& x, int, int group) {
+    return csfma::carry_reduce(x, group);
+  }
+  static void sign_runs(const CsNum& x, int, Lane* l, int) {
+    l[0].sign_run = leading_sign_run(x);
+  }
+  static void zero_detect(const PcsNum& r, const PcsConfig& g, int max_skip,
+                          bool late, Lane* l, int) {
+    const CsNum x = r.as_cs();
+    const int k = count_skippable_blocks(x, g.block, max_skip);
+    l[0].skip = k;
+    l[0].zd_late =
+        late && k < max_skip && skip_preserves_value(x, g.block, k + 1);
+  }
+  static Mux mux(const PcsNum& r, const PcsConfig& g, int max_skip,
+                 const Lane* l, int) {
+    const int mant_lo = (max_skip - l[0].skip) * g.block;
+    return {r.extract_digits(mant_lo, g.mant_digits()),
+            mant_lo >= g.block
+                ? r.extract_digits(mant_lo - g.block, g.tail_digits())
+                : PcsNum::zero(g.tail_digits(), g.group)};
+  }
+  static void observe(ActivityProbe& p, const CsWord& w, int, int) {
+    p.observe(w);
+  }
+  static void tap(SignalTap& t, const char* name, const CsWord& w, int width) {
+    t.tap(name, w, width);
+  }
+};
+
+struct Planes {
+  using Mask = std::uint64_t;
+  /// planes[b] bit L = bit b of lane L's value; [0, width) are valid.
+  struct Word {
+    std::uint64_t p[kCsWordBits];
+  };
+  struct Cs {
+    Word s, c;
+  };
+  using Pcs = Cs;
+  struct Mux {
+    Cs mant, tail;
+  };
+
+  static const Word& sum(const Cs& x) { return x.s; }
+  static const Word& carry(const Cs& x) { return x.c; }
+
+  /// The tile rows' Wallace tree, run on the window above the product
+  /// offset (every row sits there) and placed into the full window.
+  static Cs product(const Lane* l, int n, const PcsConfig& g,
+                    CsaTreeStats* stats) {
+    const DspTiling t = tiling(g);
+    const int rows = t.rows(), W = g.adder_width(), off = g.product_offset();
+    std::uint64_t tiles[kMaxTiles * 64], scratch[kMaxTiles * kCsWordBits];
+    int lo[kMaxTiles];
+    for (int r = 0; r < rows; ++r) {
+      std::uint64_t prod[slice::kLanes];
+      for (int L = 0; L < n; ++L) prod[L] = (std::uint64_t)l[L].tiles[r];
+      slice::pack_words(prod, 1, n, 64, tiles + r * 64);
+      lo[r] = t.weight(r);
+    }
+    Cs out;
+    std::fill(out.s.p, out.s.p + off, 0);
+    std::fill(out.c.p, out.c.p + off, 0);
+    slice::reduce_tiles(W - off, rows, lo, tiles, scratch, out.s.p + off,
+                        out.c.p + off);
+    *stats = csa_tree_stats(rows, W);
+    return out;
+  }
+  static Word b_row(const Lane* l, int n, const PcsConfig& g) {
+    std::uint64_t sig[slice::kLanes];
+    for (int L = 0; L < n; ++L) sig[L] = l[L].b_sig;
+    Word w{};
+    slice::pack_words(sig, 1, n, 53, w.p + g.product_offset());
+    return w;
+  }
+  static Word a_row(const Lane* l, int n, int width) {
+    CsWord rows[slice::kLanes];
+    for (int L = 0; L < n; ++L) rows[L] = l[L].a_row;
+    Word w;
+    slice::pack_words(rows[0].data(), CsWord::kWords, n, width, w.p);
+    return w;
+  }
+  static void select(Mask m, Cs& dst, const Cs& src, int width) {
+    for (int b = 0; b < width; ++b) {
+      dst.s.p[b] = (dst.s.p[b] & ~m) | (src.s.p[b] & m);
+      dst.c.p[b] = (dst.c.p[b] & ~m) | (src.c.p[b] & m);
+    }
+  }
+  static Cs compress3(int w, const Cs& x, const Word& row) {
+    Cs out;
+    slice::compress3(w, x.s.p, x.c.p, row.p, out.s.p, out.c.p);
+    return out;
+  }
+  /// cs_negate: ~S + ~C + 2 as one 3:2 layer.
+  static Cs negate(int w, const Cs& x) {
+    Cs inv;
+    Word two{};
+    two.p[1] = ~std::uint64_t{0};
+    for (int b = 0; b < w; ++b) {
+      inv.s.p[b] = ~x.s.p[b];
+      inv.c.p[b] = ~x.c.p[b];
+    }
+    return compress3(w, inv, two);
+  }
+  static Cs carry_reduce(const Cs& x, int w, int group) {
+    Cs out;
+    slice::carry_reduce(w, group, x.s.p, x.c.p, out.s.p, out.c.p);
+    return out;
+  }
+  static void sign_runs(const Cs& x, int w, Lane* l, int n) {
+    std::uint64_t bin[kCsWordBits];
+    std::uint16_t run[slice::kLanes];
+    slice::assimilate(w, x.s.p, x.c.p, bin);
+    slice::leading_sign_run(w, bin, n, run);
+    for (int L = 0; L < n; ++L) l[L].sign_run = run[L];
+  }
+  static void zero_detect(const Cs& r, const PcsConfig& g, int max_skip,
+                          bool late, Lane* l, int n) {
+    const int W = g.adder_width();
+    std::uint64_t alive[kMaxBlocks];
+    slice::count_skippable_blocks(W, g.block, max_skip, r.s.p, r.c.p, alive);
+    // same[j]: lanes whose top j blocks and the digit below them all equal
+    // the sign, i.e. skipping j blocks keeps the signed value
+    // (skip_preserves_value in plane form).
+    std::uint64_t same[kMaxBlocks] = {};
+    if (late) {
+      std::uint64_t bin[kCsWordBits];
+      slice::assimilate(W, r.s.p, r.c.p, bin);
+      std::uint64_t eq = ~std::uint64_t{0};
+      for (int j = 1, b = W - 1; j <= max_skip; ++j) {
+        for (; b > W - 1 - j * g.block; --b) eq &= ~(bin[b - 1] ^ bin[W - 1]);
+        same[j] = eq;
+      }
+    }
+    for (int L = 0; L < n; ++L) {
+      int k = 0;
+      for (int s = 0; s < max_skip; ++s) k += (int)((alive[s] >> L) & 1u);
+      l[L].skip = k;
+      l[L].zd_late = late && k < max_skip && ((same[k + 1] >> L) & 1u) != 0;
+    }
+  }
+  /// Mantissa plane b of a lane with skip count k is reduced plane
+  /// b + (max_skip - k) * block; its tail is the block below, and a lane
+  /// at the full skip count has no block below and reads a zero tail.
+  static Mux mux(const Cs& r, const PcsConfig& g, int max_skip,
+                 const Lane* l, int n) {
+    const int M = g.mant_digits(), B = g.block;
+    std::uint64_t lanes_of[kMaxBlocks] = {};
+    for (int L = 0; L < n; ++L) lanes_of[l[L].skip] |= std::uint64_t{1} << L;
+    Mux m;
+    for (Word* w : {&m.mant.s, &m.mant.c, &m.tail.s, &m.tail.c})
+      std::fill(w->p, w->p + M, 0);
+    for (int k = 0; k <= max_skip; ++k) {
+      const std::uint64_t sel = lanes_of[k];
+      const int lo = (max_skip - k) * B;
+      for (int b = 0; sel != 0 && b < M; ++b) {
+        m.mant.s.p[b] |= r.s.p[lo + b] & sel;
+        m.mant.c.p[b] |= r.c.p[lo + b] & sel;
+      }
+      for (int b = 0; sel != 0 && k < max_skip && b < B; ++b) {
+        m.tail.s.p[b] |= r.s.p[lo - B + b] & sel;
+        m.tail.c.p[b] |= r.c.p[lo - B + b] & sel;
+      }
+    }
+    return m;
+  }
+  static void observe(ActivityProbe& p, const Word& w, int width, int n) {
+    p.observe_planes(w.p, width, n);
+  }
+  static void tap(SignalTap&, const char*, const Word&, int) {
+    CSFMA_CHECK_MSG(false, "a SignalTap follows one lane");
+  }
+
+  /// Back to lane-major form: f(L, mant, tail) for each lane in order.
+  template <class F>
+  static void read_lanes(const Mux& m, const PcsConfig& g, int n, F&& f) {
+    const int M = g.mant_digits(), mw = (M + 63) / 64;
+    std::uint64_t ms[slice::kLanes * 2], mc[slice::kLanes * 2];
+    std::uint64_t ts[slice::kLanes], tc[slice::kLanes];
+    slice::unpack_words(m.mant.s.p, M, n, ms, mw);
+    slice::unpack_words(m.mant.c.p, M, n, mc, mw);
+    slice::unpack_words(m.tail.s.p, g.block, n, ts, 1);
+    slice::unpack_words(m.tail.c.p, g.block, n, tc, 1);
+    for (int L = 0; L < n; ++L) {
+      CsWord msum, mcar;
+      for (int w = 0; w < mw; ++w) {
+        msum.data()[w] = ms[L * mw + w];
+        mcar.data()[w] = mc[L * mw + w];
+      }
+      f(L, PcsNum(M, g.group, msum, mcar),
+        PcsNum(g.tail_digits(), g.group, CsWord(ts[L]), CsWord(tc[L])));
+    }
+  }
+};
+
+/// Where the stages report: the unit's probes, its tap (one lane only),
+/// whether events are on, and the multiplier's tree statistics.
+struct Sinks {
+  UnitProbes& probes;
+  SignalTap* tap;
+  bool events;
+  CsaTreeStats* mul_stats;
+};
+
+/// The lanes whose `flag` is set, as a policy mask (bit L = lane L).
+template <class P>
+typename P::Mask where(const Lane* l, int n, bool Lane::*flag) {
+  typename P::Mask m{};
+  for (int L = 0; L < n; ++L) m |= (typename P::Mask)(l[L].*flag) << L;
+  return m;
+}
+
+/// Hands one stage's wires to the probes and, on one lane, to the tap
+/// (under `stage`, when given).
+template <class P>
+void report(Sinks& s, const char* stage, int width, int n,
+            std::initializer_list<std::pair<UnitProbe, const typename P::Word*>>
+                wires) {
+  if (s.tap != nullptr && stage != nullptr) s.tap->begin_stage(stage);
+  for (const auto& [probe, w] : wires) {
+    if (s.probes) P::observe(s.probes[probe], *w, width, n);
+    if (s.tap != nullptr) {
+      // Tap names are the probe names, except A's: probe "ashift", tap
+      // "align.ashift".
+      P::tap(*s.tap,
+             probe == UnitProbe::AShift ? "align.ashift" : UnitProbes::name(probe),
+             *w, width);
+    }
+  }
+}
+
+/// Multiplier stage: B_M x unrounded C_M as the DSP-tiled CSA tree, built
+/// directly in the adder window at the product offset so the product
+/// planes stay in carry-save form into the adder (Fig 9).  C's deferred
+/// rounding becomes the +B_M correction row (Fig 6); B's sign negates.
+template <class P>
+typename P::Cs multiply_stage(const PcsConfig& g, Sinks& s, const Lane* lanes,
+                              int n) {
+  const int W = g.adder_width();
+  typename P::Cs product = P::product(lanes, n, g, s.mul_stats);
+  if (const typename P::Mask m = where<P>(lanes, n, &Lane::rnd_c))
+    P::select(m, product, P::compress3(W, product, P::b_row(lanes, n, g)), W);
+  if (const typename P::Mask m = where<P>(lanes, n, &Lane::b_neg))
+    P::select(m, product, P::negate(W, product), W);
+  report<P>(s, "mul", W, n,
+            {{UnitProbe::MulSum, &P::sum(product)},
+             {UnitProbe::MulCarry, &P::carry(product)}});
+  return product;
+}
+
+/// The stages after the multiplier: the aligned A row, the 3:2 adder,
+/// carry reduction (Sec. III-E), zero detect and the block mux (6:1 at
+/// 55b; Sec. III-D/F).  Fills each lane's sign run (events on), skip
+/// count and late-ZD flag.
+template <class P>
+typename P::Mux sum_stages(const PcsConfig& g, Sinks& s, Lane* lanes, int n,
+                           const typename P::Cs& product) {
+  const int W = g.adder_width();
+  const typename P::Word a_row = P::a_row(lanes, n, W);
+  report<P>(s, "align", W, n, {{UnitProbe::AShift, &a_row}});
+  const typename P::Cs adder = P::compress3(W, product, a_row);
+  report<P>(s, "add", W, n,
+            {{UnitProbe::AddSum, &P::sum(adder)},
+             {UnitProbe::AddCarry, &P::carry(adder)}});
+  if (s.events) P::sign_runs(adder, W, lanes, n);  // cancellation check
+  const typename P::Pcs reduced = P::carry_reduce(adder, W, g.group);
+  report<P>(s, "creduce", W, n,
+            {{UnitProbe::CreduceSum, &P::sum(reduced)},
+             {UnitProbe::CreduceCarry, &P::carry(reduced)}});
+  const int max_skip = g.adder_blocks() - 2;
+  P::zero_detect(reduced, g, max_skip, s.events, lanes, n);
+  typename P::Mux mux = P::mux(reduced, g, max_skip, lanes, n);
+  if (s.tap != nullptr) {
+    s.tap->begin_stage("mux");
+    // k <= adder_blocks() - 2, at most 11 for the smallest valid block.
+    s.tap->tap_u64("mux.zd_skip", (std::uint64_t)lanes[0].skip, 4);
+  }
+  report<P>(s, nullptr, g.mant_digits(), n,
+            {{UnitProbe::MuxSum, &P::sum(mux.mant)},
+             {UnitProbe::MuxCarry, &P::carry(mux.mant)}});
+  return mux;
+}
+
+}  // namespace
+
+PcsFma::PcsFma(PcsConfig geometry, ActivityRecorder* activity,
+               const IntrospectHooks* hooks)
+    : geom_(geometry), probes_(activity), hooks_(hooks) {
+  geom_.validate();
+  CSFMA_CHECK(tiling(geom_).rows() <= kMaxTiles &&
+              geom_.adder_blocks() <= kMaxBlocks);
+}
+
+PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
+                       const PcsOperand& c) {
+  CSFMA_CHECK_MSG(a.geometry() == geom_ && c.geometry() == geom_,
+                  "operand geometry differs from the unit's");
+  EventLog* events = hooks_ != nullptr ? hooks_->events : nullptr;
+  Lane lane;
+  const Route route = front_end(a, b, c, geom_, events != nullptr, lane);
+  if (route == Route::SideWire) return bypass_result(route, a, b, c, 0);
+  raise_rounding_events(events, lane);
+  if (route == Route::ZeroProduct)
+    return bypass_result(route, a, b, c, lane.rnd_a);
+  Sinks sinks{probes_, hooks_ != nullptr ? hooks_->tap : nullptr,
+              events != nullptr, &mul_stats_};
+  const CsNum product = multiply_stage<OneLane>(geom_, sinks, &lane, 1);
+  if (route == Route::PassThrough)
+    return bypass_result(route, a, b, c, lane.rnd_a);
+  const OneLane::Mux mux =
+      sum_stages<OneLane>(geom_, sinks, &lane, 1, product);
+  raise_stage_events(events, lane, geom_);
+  last_zd_skip_ = lane.skip;
+  return finish(lane, mux.mant, mux.tail, geom_, events);
+}
+
 PFloat PcsFma::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
                         Round rm) {
   PcsOperand r = fma(ieee_to_pcs(a, geom_), b, ieee_to_pcs(c, geom_));
   return pcs_to_ieee(r, kBinary64, rm);
 }
 
-namespace {
-
-/// The sliced block below is written for the paper geometry only.
-constexpr PcsConfig G = kPaperPcs;
-
-/// Exponent of digit 0 of a lifted operand's mantissa (the exp_fixed of
-/// ieee_to_pcs), valid for Normal operands only.
-int lifted_exp(const PFloat& x) {
-  const int shift = G.sig_msb_digit() - (x.format().precision() - 1);
-  return (x.exp() - x.format().frac_bits) - shift - G.tail_digits() +
-         G.frac_bits();
-}
-
-/// Lifted mantissa bit plane (CsNum::from_signed of the placed significand).
-CsWord lifted_bits(const PFloat& x) {
-  const int p = x.format().precision();
-  CSFMA_CHECK_MSG(p <= 54, "source significand too wide for the PCS layout");
-  const int shift = G.sig_msb_digit() - (p - 1);
-  CSFMA_CHECK(shift >= 0);
-  const CsWord mag = CsWord(WideUint<7>(WideUint<2>(x.sig()))) << shift;
-  return x.sign() ? (-mag).truncated(G.mant_digits()) : mag;
-}
-
-/// May this operation go through the sliced block?  Excluded: exception
-/// operands (the scalar path returns on side-wires before the datapath),
-/// zero products (rounded-A result) and the A pass-through, whose early
-/// returns skip datapath probes in ways the block form cannot replicate.
-/// A freshly lifted operand's tail is empty, so rnd_a == rnd_c == 0 and
-/// the deferred-rounding events never fire on sliceable lanes.
-bool sliceable(const OperandTriple& t) {
-  if (t.a.is_nan() || t.b.is_nan() || t.c.is_nan()) return false;
-  if (t.a.is_inf() || t.b.is_inf() || t.c.is_inf()) return false;
-  if (t.b.is_zero() || t.c.is_zero()) return false;
-  if (t.a.cls() == FpClass::Normal) {
-    const int ofs_a =
-        lifted_exp(t.a) - (t.b.exp() + lifted_exp(t.c)) + G.align_const();
-    if (ofs_a > G.adder_width() - G.mant_digits()) return false;  // pass-through
-  }
-  return true;
-}
-
-}  // namespace
-
 void PcsFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n,
                             PFloat* out, const FmaBatchHooks& hooks) {
   // A SignalTap traces one operation's wires stage by stage; its calls must
-  // stay in scalar order, so tapped runs bypass the sliced path entirely.
-  // The sliced block is sized for the paper geometry; any other geometry
-  // runs scalar.
-  const bool scalar_only =
-      (hooks_ != nullptr && hooks_->tap != nullptr) || geom_ != kPaperPcs;
-  std::size_t i = 0;
-  while (i < n) {
-    if (scalar_only || !sliceable(ops[i])) {
-      if (hooks.events != nullptr) {
-        hooks.events->begin_op(hooks.base_index + i, ops[i].a.to_bits().lo64(),
-                               ops[i].b.to_bits().lo64(),
-                               ops[i].c.to_bits().lo64());
-      }
-      out[i] = fma_ieee(ops[i].a, ops[i].b, ops[i].c, hooks.rm);
-      ++i;
+  // stay in scalar order, so a tapped unit runs one lane at a time.
+  const bool tapped = hooks_ != nullptr && hooks_->tap != nullptr;
+  EventLog* events = hooks.events;
+  const auto begin_op = [&](std::size_t i) {
+    if (events != nullptr) {
+      events->begin_op(hooks.base_index + i, ops[i].a.to_bits().lo64(),
+                       ops[i].b.to_bits().lo64(), ops[i].c.to_bits().lo64());
+    }
+  };
+  Lane lanes[slice::kLanes];
+  std::size_t first = 0;
+  int filled = 0;
+  const auto run_block = [&] {
+    if (filled == 0) return;
+    Sinks sinks{probes_, nullptr, events != nullptr, &mul_stats_};
+    const Planes::Cs product =
+        multiply_stage<Planes>(geom_, sinks, lanes, filled);
+    const Planes::Mux mux =
+        sum_stages<Planes>(geom_, sinks, lanes, filled, product);
+    Planes::read_lanes(mux, geom_, filled,
+                       [&](int L, const PcsNum& mant, const PcsNum& tail) {
+                         begin_op(first + L);
+                         raise_rounding_events(events, lanes[L]);
+                         raise_stage_events(events, lanes[L], geom_);
+                         last_zd_skip_ = lanes[L].skip;
+                         out[first + L] = pcs_to_ieee(
+                             finish(lanes[L], mant, tail, geom_, events),
+                             kBinary64, hooks.rm);
+                       });
+    filled = 0;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const PcsOperand a = ieee_to_pcs(ops[i].a, geom_);
+    const PcsOperand c = ieee_to_pcs(ops[i].c, geom_);
+    if (!tapped && front_end(a, ops[i].b, c, geom_, events != nullptr,
+                             lanes[filled]) == Route::Datapath) {
+      if (filled == 0) first = i;
+      if (++filled == slice::kLanes) run_block();
       continue;
     }
-    std::size_t j = i + 1;
-    while (j < n && j - i < (std::size_t)slice::kLanes && sliceable(ops[j]))
-      ++j;
-    fma_ieee_block(ops + i, (int)(j - i), out + i, hooks.rm, hooks.events,
-                   hooks.base_index + i);
-    i = j;
+    // Side wires, a zero product and A's pass-through leave the datapath
+    // early and skip stages; they run one lane, in stream order.
+    run_block();
+    begin_op(i);
+    out[i] = pcs_to_ieee(fma(a, ops[i].b, c), kBinary64, hooks.rm);
   }
-}
-
-void PcsFma::fma_ieee_block(const OperandTriple* ops, int n, PFloat* out,
-                            Round rm, EventLog* events, std::uint64_t base) {
-  constexpr int kW = CsWord::kWords;
-  // Multiplier tile geometry (lane-invariant): ceil(110/17) x ceil(53/24)
-  // rows, in multiply_dsp_tiled's row order (candidate-chunk outer).
-  constexpr int kNCand = (G.mant_digits() + kCandChunk - 1) / kCandChunk;
-  constexpr int kNMult = (53 + kMultChunk - 1) / kMultChunk;
-  constexpr int kRows = kNCand * kNMult;
-  // The product rows live at bit kProductOffset and above, so the Wallace
-  // tree only needs the top window; the full 385b planes are re-assembled
-  // (with the lane-masked negation) below.
-  constexpr int kProdW = G.adder_width() - G.product_offset();
-
-  // ---- per-lane front end: lift + DSP tile products + A alignment ----
-  // (only the per-lane-data work stays scalar; the partial-product tree,
-  // the adder and everything after run bit-parallel across the batch)
-  std::int64_t tiles[kRows][slice::kLanes];
-  std::uint64_t a_rows[slice::kLanes * kW];
-  std::uint64_t neg_mask = 0;
-  int e_p[slice::kLanes];
-  int a_msb[slice::kLanes];
-  for (int L = 0; L < n; ++L) {
-    const PFloat& a = ops[L].a;
-    const PFloat& b = ops[L].b;
-    const PFloat& c = ops[L].c;
-    // C lifts to a binary (carry-free) mantissa with an empty tail, so the
-    // rnd_c correction row never fires on this path; the DSP pre-adder
-    // assimilation of multiply_dsp_tiled is the identity on it.
-    const CsWord c_bits = lifted_bits(c);
-    const std::uint64_t b_sig = b_port(b).lo64();
-    if (b.sign()) neg_mask |= std::uint64_t{1} << L;
-    for (int j = 0; j < kNCand; ++j) {
-      const int c_lo = j * kCandChunk;
-      const int c_len = std::min(kCandChunk, G.mant_digits() - c_lo);
-      std::int64_t c_val =
-          (std::int64_t)wide_read_bits(c_bits.data(), c_lo, c_len);
-      if (j == kNCand - 1 && ((c_val >> (c_len - 1)) & 1))
-        c_val -= (std::int64_t)1 << c_len;
-      for (int i = 0; i < kNMult; ++i) {
-        const int b_lo = i * kMultChunk;
-        const int b_len = std::min(kMultChunk, 53 - b_lo);
-        const std::int64_t b_val =
-            (std::int64_t)((b_sig >> b_lo) &
-                           ((std::uint64_t{1} << b_len) - 1));
-        tiles[j * kNMult + i][L] = c_val * b_val;
-      }
-    }
-    e_p[L] = b.exp() + lifted_exp(c);
-    // A path: rnd_a == 0 likewise; a is Normal or Zero (sliceable()).
-    WideUint<8> a_val;
-    int e_a = e_p[L];
-    if (a.cls() == FpClass::Normal) {
-      a_val = WideUint<8>(lifted_bits(a)).sext(G.mant_digits());
-      e_a = lifted_exp(a);
-    }
-    const int ofs_a = e_a - e_p[L] + G.align_const();
-    CsWord a_row;
-    if (!a_val.is_zero() && ofs_a > -G.mant_digits()) {
-      WideUint<8> placed = ofs_a >= 0 ? (a_val << ofs_a) : (a_val >> -ofs_a);
-      a_row = CsWord(placed).truncated(G.adder_width());
-    }
-    a_msb[L] = ofs_a > -G.mant_digits() && !a_val.is_zero()
-                   ? ofs_a + G.mant_digits() - 1
-                   : -1;
-    for (int w = 0; w < kW; ++w) a_rows[L * kW + w] = a_row.data()[w];
-  }
-
-  // ---- partial-product Wallace tree in plane form: each row is its
-  //      64-bit tile product placed at the tile's (lane-invariant) weight
-  //      with sign fill above, exactly multiply_dsp_tiled's row image; the
-  //      3:2 schedule is reduce_rows_inplace's, so the output planes are
-  //      bit-identical to the scalar tree's ----
-  std::uint64_t rp[kRows][kProdW];
-  for (int r = 0; r < kRows; ++r) {
-    std::uint64_t tp[64];
-    slice::pack_words((const std::uint64_t*)tiles[r], 1, n, 64, tp);
-    const int t = (r / kNMult) * kCandChunk + (r % kNMult) * kMultChunk;
-    std::uint64_t* row = rp[r];
-    for (int b = 0; b < t; ++b) row[b] = 0;
-    for (int b = 0; b < 64; ++b) row[t + b] = tp[b];
-    for (int b = t + 64; b < kProdW; ++b) row[b] = tp[63];
-  }
-  int nr = kRows;
-  while (nr > 2) {
-    int i = 0, o = 0;
-    for (; i + 3 <= nr; i += 3, o += 2) {
-      std::uint64_t* ra = rp[i];
-      std::uint64_t* rb = rp[i + 1];
-      std::uint64_t* rcw = rp[i + 2];
-      std::uint64_t* os = rp[o];
-      std::uint64_t* oc = rp[o + 1];
-      std::uint64_t prev_maj = 0;  // carry into bit kProductOffset is 0
-      for (int b = 0; b < kProdW; ++b) {
-        const std::uint64_t x = ra[b], y = rb[b], z = rcw[b];
-        os[b] = x ^ y ^ z;  // reads precede writes: o <= i, o+1 <= i+1
-        oc[b] = prev_maj;
-        prev_maj = (x & y) | (z & (x | y));  // top majority drops (mod 2^W)
-      }
-    }
-    for (; i < nr; ++i, ++o) {
-      if (o != i) {
-        for (int b = 0; b < kProdW; ++b) rp[o][b] = rp[i][b];
-      }
-    }
-    nr = o;
-  }
-  // The scalar tree reports its geometry per multiply; it is data
-  // independent, so one computation serves the whole block.
-  mul_stats_.rows = kRows;
-  mul_stats_.levels = 0;
-  mul_stats_.compressors = 0;
-  for (int m = kRows; m > 2; ++mul_stats_.levels) {
-    mul_stats_.compressors += (m / 3) * G.adder_width();
-    m = (m / 3) * 2 + (m % 3);
-  }
-
-  // ---- full-width product planes with the lane-masked negation:
-  //      cs_negate is ~S + ~C + 2, i.e. one 3:2 layer whose planes reduce
-  //      to S^C (bit 1 flipped) and ~(S|C) shifted up one (with
-  //      ~(S&C) at bit 2), applied only to lanes where B is negative ----
-  std::uint64_t ps[G.adder_width()], pc[G.adder_width()], ar[G.adder_width()];
-  {
-    const std::uint64_t nm = neg_mask;
-    const auto sum_at = [&](int b) {
-      return b < G.product_offset() ? 0 : rp[0][b - G.product_offset()];
-    };
-    const auto car_at = [&](int b) {
-      return b < G.product_offset() ? 0 : rp[1][b - G.product_offset()];
-    };
-    for (int b = 0; b < G.adder_width(); ++b) {
-      const std::uint64_t s = sum_at(b), cc = car_at(b);
-      std::uint64_t neg_s = s ^ cc;
-      if (b == 1) neg_s = ~neg_s;
-      std::uint64_t neg_c;
-      if (b == 0) {
-        neg_c = 0;
-      } else if (b == 2) {
-        neg_c = ~(sum_at(1) & car_at(1));
-      } else {
-        neg_c = ~(sum_at(b - 1) | car_at(b - 1));
-      }
-      ps[b] = (s & ~nm) | (neg_s & nm);
-      pc[b] = (cc & ~nm) | (neg_c & nm);
-    }
-  }
-  slice::pack_words(a_rows, kW, n, G.adder_width(), ar);
-  if (probes_) {
-    probes_[UnitProbe::MulSum].observe_planes(ps, G.adder_width(), n);
-    probes_[UnitProbe::MulCarry].observe_planes(pc, G.adder_width(), n);
-    probes_[UnitProbe::AShift].observe_planes(ar, G.adder_width(), n);
-  }
-
-  // ---- 385b CS adder, all lanes per word op ----
-  std::uint64_t as[G.adder_width()], ac[G.adder_width()];
-  slice::compress3(G.adder_width(), ps, pc, ar, as, ac);
-  if (probes_) {
-    probes_[UnitProbe::AddSum].observe_planes(as, G.adder_width(), n);
-    probes_[UnitProbe::AddCarry].observe_planes(ac, G.adder_width(), n);
-  }
-
-  // Event inputs: one assimilation serves both the cancellation detector
-  // (leading sign run of the adder output) and the ZD-late check below —
-  // carry reduction preserves the value mod 2^385, so the reduced form's
-  // binary image is this same plane set.
-  std::uint16_t run[slice::kLanes];
-  std::uint64_t bin[G.adder_width()];
-  std::uint64_t same[6];
-  if (events != nullptr) {
-    slice::assimilate(G.adder_width(), as, ac, bin);
-    slice::leading_sign_run(G.adder_width(), bin, n, run);
-    // same[j]: lanes whose bits [385 - 55j - 1, 384] are all equal, i.e.
-    // skipping j blocks would preserve the signed value
-    // (skip_preserves_value in plane form).
-    std::uint64_t eq = ~std::uint64_t{0};
-    int b = G.adder_width() - 1;
-    for (int j = 1; j <= 5; ++j) {
-      const int lo = G.adder_width() - 1 - j * G.block;
-      while (b > lo) {
-        --b;
-        eq &= ~(bin[b] ^ bin[G.adder_width() - 1]);
-      }
-      same[j] = eq;
-    }
-  }
-
-  // ---- Carry Reduction to group-11 PCS ----
-  std::uint64_t rs[G.adder_width()], rc[G.adder_width()];
-  slice::carry_reduce(G.adder_width(), G.group, as, ac, rs, rc);
-  if (probes_) {
-    probes_[UnitProbe::CreduceSum].observe_planes(rs, G.adder_width(), n);
-    probes_[UnitProbe::CreduceCarry].observe_planes(rc, G.adder_width(), n);
-  }
-
-  // ---- Zero Detector: per-lane skip counts from the alive masks ----
-  std::uint64_t alive[5];
-  slice::count_skippable_blocks(G.adder_width(), G.block, 5, rs, rc, alive);
-  int skip[slice::kLanes];
-  std::uint64_t lane_of_k[6] = {};
-  for (int L = 0; L < n; ++L) {
-    int k = 0;
-    for (int s = 0; s < 5; ++s) k += (int)((alive[s] >> L) & 1u);
-    skip[L] = k;
-    lane_of_k[k] |= std::uint64_t{1} << L;
-  }
-
-  // ---- 6:1 block mux in plane form: mant plane b selects the reduced
-  //      plane at b + (5-k)*55 for each lane's skip count k ----
-  std::uint64_t ms[G.mant_digits()], mc[G.mant_digits()];
-  for (int b = 0; b < G.mant_digits(); ++b) {
-    std::uint64_t sv = 0, cv = 0;
-    for (int k = 0; k <= 5; ++k) {
-      sv |= rs[b + (5 - k) * G.block] & lane_of_k[k];
-      cv |= rc[b + (5 - k) * G.block] & lane_of_k[k];
-    }
-    ms[b] = sv;
-    mc[b] = cv;
-  }
-  // Tail planes: one block below the mantissa; k == 5 lanes have no block
-  // below (mant_lo == 0) and read a zero tail, exactly the scalar default.
-  std::uint64_t ts[G.tail_digits()], tc[G.tail_digits()];
-  for (int b = 0; b < G.tail_digits(); ++b) {
-    std::uint64_t sv = 0, cv = 0;
-    for (int k = 0; k <= 4; ++k) {
-      sv |= rs[b + (4 - k) * G.block] & lane_of_k[k];
-      cv |= rc[b + (4 - k) * G.block] & lane_of_k[k];
-    }
-    ts[b] = sv;
-    tc[b] = cv;
-  }
-  if (probes_) {
-    probes_[UnitProbe::MuxSum].observe_planes(ms, G.mant_digits(), n);
-    probes_[UnitProbe::MuxCarry].observe_planes(mc, G.mant_digits(), n);
-  }
-
-  // ---- back to lane-major form; per-lane readout in operation order ----
-  constexpr int kMantWords = (G.mant_digits() + 63) / 64;
-  std::uint64_t mant_sw[slice::kLanes * kMantWords];
-  std::uint64_t mant_cw[slice::kLanes * kMantWords];
-  std::uint64_t tail_sw[slice::kLanes], tail_cw[slice::kLanes];
-  slice::unpack_words(ms, G.mant_digits(), n, mant_sw, kMantWords);
-  slice::unpack_words(mc, G.mant_digits(), n, mant_cw, kMantWords);
-  slice::unpack_words(ts, G.tail_digits(), n, tail_sw, 1);
-  slice::unpack_words(tc, G.tail_digits(), n, tail_cw, 1);
-
-  for (int L = 0; L < n; ++L) {
-    if (events != nullptr) {
-      events->begin_op(base + (std::uint64_t)L, ops[L].a.to_bits().lo64(),
-                       ops[L].b.to_bits().lo64(), ops[L].c.to_bits().lo64());
-      const int p_msb = G.product_offset() + G.mant_digits() + 53;
-      const int out_msb = G.adder_width() - 1 - (int)run[L];
-      const int drop = std::max(a_msb[L], p_msb) - out_msb;
-      if (drop >= 50) events->raise(EventKind::Cancellation, drop);
-      if (skip[L] < 5 && ((same[skip[L] + 1] >> L) & 1u) != 0) {
-        events->raise(EventKind::ZeroDetectLate, skip[L]);
-      }
-    }
-    last_zd_skip_ = skip[L];
-    CsWord msum, mcar, tsum, tcar;
-    for (int w = 0; w < kMantWords; ++w) {
-      msum.data()[w] = mant_sw[L * kMantWords + w];
-      mcar.data()[w] = mant_cw[L * kMantWords + w];
-    }
-    tsum.data()[0] = tail_sw[L];
-    tcar.data()[0] = tail_cw[L];
-    PcsNum mant(G.mant_digits(), G.group, msum, mcar);
-    PcsNum tail(G.tail_digits(), G.group, tsum, tcar);
-    PcsOperand r;
-    if (mant.to_binary().is_zero() && tail.to_binary().is_zero()) {
-      r = PcsOperand::make_zero(false);
-    } else {
-      const int mant_lo = (5 - skip[L]) * G.block;
-      const int e_r = e_p[L] + mant_lo - G.align_const();
-      if (e_r > PcsConfig::kExpMax) {
-        r = PcsOperand::make_inf(mant.as_cs().is_value_negative());
-      } else if (e_r < PcsConfig::kExpMin) {
-        if (events != nullptr) events->raise(EventKind::SubnormalFlush, e_r);
-        r = PcsOperand::make_zero(mant.as_cs().is_value_negative());
-      } else {
-        r = PcsOperand(mant, tail, e_r, FpClass::Normal, false);
-      }
-    }
-    out[L] = pcs_to_ieee(r, kBinary64, rm);
-  }
+  run_block();
 }
 
 }  // namespace csfma

@@ -22,8 +22,9 @@
 //
 // Every width (mantissa, tail, adder window, product offset, ZD skip
 // limit) is read from the unit's geometry; the constants above are the
-// paper's.  The bit-sliced batch path exists only for the paper geometry;
-// other geometries run the scalar datapath per operation.
+// paper's.  The stages are written once, over a word policy: fma() runs
+// them on the src/cs words for one operation, fma_ieee_batch() on
+// engine/slice.hpp bit planes for up to 64 at a time, at every geometry.
 #pragma once
 
 #include "cs/csa_tree.hpp"
@@ -61,16 +62,16 @@ class PcsFma {
   /// multiply/add pair computes.
   PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c, Round rm);
 
-  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): at the paper
-  /// geometry, runs of sliceable operations go through plane-form kernels
-  /// up to 64 lanes at a time — the multiplier and A-alignment stay
-  /// per-lane, the 385b adder, carry reduction, zero detect and block mux
-  /// run bit-parallel across the batch.  Operations with exception
-  /// operands (NaN, infinity, a zero product) or an A pass-through, any run
-  /// with a SignalTap attached and every other geometry fall back to the
-  /// scalar path per operation.  Results,
-  /// per-probe toggle counts and the event sequence are bit-identical to
-  /// the scalar loop (the engine's backend-equivalence gate).
+  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): runs of
+  /// operations that reach the adder go through fma()'s stage sequence
+  /// up to 64 lanes at a time — lifting, tile products and A alignment
+  /// stay per-lane; the partial-product tree, the adder, carry reduction,
+  /// zero detect and block mux run bit-parallel across the batch.
+  /// Operations with exception operands (NaN, infinity), a zero product or
+  /// an A pass-through, and every operation of a unit with a SignalTap
+  /// attached, run one lane at a time.  Results, per-probe toggle counts
+  /// and the event sequence are bit-identical to the per-operation loop
+  /// (the engine's backend-equivalence gate).
   void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
                       const FmaBatchHooks& hooks);
 
@@ -80,11 +81,6 @@ class PcsFma {
   int last_zd_skip() const { return last_zd_skip_; }
 
  private:
-  /// One sliced block, sized for the paper geometry: all `n` (<= 64)
-  /// operations must be sliceable.
-  void fma_ieee_block(const OperandTriple* ops, int n, PFloat* out, Round rm,
-                      EventLog* events, std::uint64_t base);
-
   PcsConfig geom_;
   UnitProbes probes_;
   const IntrospectHooks* hooks_;

@@ -49,6 +49,8 @@ PcsOperand PcsOperand::make_nan(const PcsConfig& geom) {
 
 int PcsOperand::round_increment() const {
   CSFMA_CHECK(cls_ == FpClass::Normal);
+  // An empty tail (every freshly lifted operand) never rounds up.
+  if (round_.sum().is_zero() && round_.carries().is_zero()) return 0;
   // Half of one mantissa ulp, in tail scale: the tail covers one block of
   // fractional digits (55: half is 2^54).
   const CsWord tail = tail_assimilated();
@@ -152,8 +154,11 @@ PcsOperand ieee_to_pcs(const PFloat& x, const PcsConfig& geom) {
   // measures).  Then place the MSB at mantissa digit sig_msb_digit().
   const int keep = std::min(p, geom.sig_msb_digit() + 1);
   const int shift = geom.sig_msb_digit() - (keep - 1);
-  CsWord mag = CsWord(WideUint<7>(WideUint<2>(x.sig() >> (p - keep)))) << shift;
-  CsNum mant = CsNum::from_signed(geom.mant_digits(), x.sign(), mag);
+  const CsWord mag =
+      CsWord(WideUint<7>(WideUint<2>(x.sig() >> (p - keep)))) << shift;
+  const int M = geom.mant_digits();
+  CSFMA_CHECK_MSG(mag.bit_width() < M, "significand does not fit");
+  const CsWord mant = x.sign() ? (-mag).truncated(M) : mag;
   // Exponent: value = X * 2^(exp' - F) with X = sig' << (shift + tail), i.e.
   // sig' * 2^(shift + tail + exp' - F), which must equal
   // sig' * 2^(e - frac + p - keep):
@@ -163,10 +168,9 @@ PcsOperand ieee_to_pcs(const PFloat& x, const PcsConfig& geom) {
       exp2_of_sig_lsb - shift - geom.tail_digits() + geom.frac_bits();
   CSFMA_CHECK(exp_fixed >= PcsConfig::kExpMin &&
               exp_fixed <= PcsConfig::kExpMax);
-  return PcsOperand(
-      PcsNum(geom.mant_digits(), geom.group, mant.sum(), mant.carry()),
-      PcsNum::zero(geom.tail_digits(), geom.group), exp_fixed,
-      FpClass::Normal, x.sign());
+  return PcsOperand(PcsNum(M, geom.group, mant, CsWord()),
+                    PcsNum::zero(geom.tail_digits(), geom.group), exp_fixed,
+                    FpClass::Normal, x.sign());
 }
 
 PFloat pcs_to_ieee(const PcsOperand& x, const FloatFormat& fmt, Round rm) {

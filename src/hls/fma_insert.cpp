@@ -27,6 +27,7 @@ std::vector<Candidate> find_candidates(const Cdfg& g,
     const Node& n = g.node(id);
     return asap.start[(size_t)id] + lib.attr(n.kind, n.style).latency;
   };
+  const auto users = g.users_index();
   std::vector<Candidate> out;
   std::vector<bool> mul_taken((size_t)g.num_nodes(), false);
   for (int id : g.topo_order()) {
@@ -42,7 +43,7 @@ std::vector<Candidate> find_candidates(const Cdfg& g,
       const Node& mn = g.node(m);
       if (mn.kind != OpKind::Mul) continue;
       if (mul_taken[(size_t)m]) continue;
-      if (g.users(m).size() != 1) continue;  // product needed elsewhere
+      if (users[(size_t)m].size() != 1) continue;  // product needed elsewhere
       Candidate c;
       c.add_id = id;
       c.mul_id = m;

@@ -156,6 +156,18 @@ std::vector<int> Cdfg::users(int id) const {
   return out;
 }
 
+std::vector<std::vector<int>> Cdfg::users_index() const {
+  std::vector<std::vector<int>> out(nodes_.size());
+  for (const auto& n : nodes_) {
+    if (n.dead) continue;
+    for (int a : n.args) {
+      std::vector<int>& u = out[(size_t)a];
+      if (u.empty() || u.back() != n.id) u.push_back(n.id);
+    }
+  }
+  return out;
+}
+
 void Cdfg::replace_uses(int old_id, int new_id) {
   CSFMA_CHECK(old_id != new_id);
   for (auto& n : nodes_) {

@@ -68,6 +68,11 @@ class Cdfg {
   std::vector<int> topo_order() const;
   /// ids of nodes that use `id` as an argument.
   std::vector<int> users(int id) const;
+  /// users() of every node, indexed by node id and built in one pass: the
+  /// same lists in the same order (a node that reads one producer twice is
+  /// listed once).  For passes that only read the graph; a pass that edits
+  /// it asks users() as it goes.
+  std::vector<std::vector<int>> users_index() const;
 
   /// Replace every use of `old_id` with `new_id` (Output args included).
   void replace_uses(int old_id, int new_id);

@@ -70,11 +70,12 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
   // Priority: longest latency path from node to any sink (computed on the
   // reversed graph).
   const auto order = g.topo_order();
+  const auto users = g.users_index();
   std::vector<int> path((size_t)g.num_nodes(), 0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     int id = *it;
     int best = 0;
-    for (int u : g.users(id)) best = std::max(best, path[(size_t)u]);
+    for (int u : users[(size_t)id]) best = std::max(best, path[(size_t)u]);
     path[(size_t)id] = best + latency_of(g, lib, id);
   }
 
@@ -112,7 +113,7 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
   auto cmp = [&path](int a, int b) { return path[(size_t)a] < path[(size_t)b]; };
   std::priority_queue<int, std::vector<int>, decltype(cmp)> ready(cmp);
 
-  // A node waits for each distinct producer once: users() lists a node
+  // A node waits for each distinct producer once: users lists a node
   // that reads one producer twice (y = x*x) a single time, so counting
   // arity() would leave it waiting forever.
   int live_count = 0;
@@ -150,7 +151,7 @@ Schedule schedule_list(const Cdfg& g, const OperatorLibrary& lib,
       ++scheduled;
       const int done = cycle + latency_of(g, lib, id);
       s.length = std::max(s.length, done);
-      for (int u : g.users(id)) {
+      for (int u : users[(size_t)id]) {
         avail[(size_t)u] = std::max(avail[(size_t)u], done);
         if (--remaining_deps[(size_t)u] == 0) {
           // Ready when the LAST-finishing producer delivers, which is not

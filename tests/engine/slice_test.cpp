@@ -13,6 +13,7 @@
 #include "common/activity.hpp"
 #include "common/rng.hpp"
 #include "cs/cs_num.hpp"
+#include "cs/csa_tree.hpp"
 #include "cs/lza.hpp"
 #include "cs/pcs.hpp"
 #include "cs/zero_detect.hpp"
@@ -262,21 +263,44 @@ TEST(Slice, LeadingSignRunMatchesScalarPerLane) {
   }
 }
 
-TEST(Slice, LzaEstimateMatchesScalarPerLane) {
-  Rng rng(9);
-  const int width = 385, stride = CsWord::kWords, n = 27;
-  const auto ls = random_lanes(rng, n, width, stride);
-  const auto lc = random_lanes(rng, n, width, stride);
-  std::vector<std::uint64_t> ps((std::size_t)width), pc((std::size_t)width),
-      scratch((std::size_t)(2 * width));
-  slice::pack_words(ls.data(), stride, n, width, ps.data());
-  slice::pack_words(lc.data(), stride, n, width, pc.data());
-  std::uint16_t est[64];
-  slice::lza_estimate(width, ps.data(), pc.data(), n, est, scratch.data());
-  for (int L = 0; L < n; ++L) {
-    const int want = lza_estimate(
-        CsNum(width, cs_of_lane(ls, stride, L), cs_of_lane(lc, stride, L)));
-    EXPECT_EQ((int)est[L], want) << "lane " << L;
+TEST(Slice, ReduceTilesMatchesScalarTreePerLane) {
+  // The PCS multiplier's tiling at 55/11 and a narrow one whose top rows
+  // reach past the window; 41-bit signed tile products like the DSPs'.
+  Rng rng(11);
+  for (const DspTiling& t : {DspTiling{110, 53, 17, 24}, DspTiling{16, 53, 17, 24},
+                             DspTiling{124, 53, 17, 24}}) {
+    const int width = t.cand_width + 53 + 20, rows = t.rows(), n = 63;
+    std::vector<std::int64_t> prod((std::size_t)(rows * n));
+    std::vector<std::uint64_t> tiles((std::size_t)(rows * 64));
+    std::vector<int> lo;
+    for (int r = 0; r < rows; ++r) {
+      std::uint64_t lanes[64];
+      for (int L = 0; L < n; ++L) {
+        const std::int64_t v =
+            (std::int64_t)(rng.next_u64() >> 23) - ((std::int64_t)1 << 40);
+        prod[(std::size_t)(L * rows + r)] = v;
+        lanes[L] = (std::uint64_t)v;
+      }
+      slice::pack_words(lanes, 1, n, 64, tiles.data() + r * 64);
+      lo.push_back(t.weight(r));
+    }
+    std::vector<std::uint64_t> ps((std::size_t)width), pc((std::size_t)width);
+    std::vector<std::uint64_t> scratch((std::size_t)(rows * width));
+    slice::reduce_tiles(width, rows, lo.data(), tiles.data(), scratch.data(),
+                        ps.data(), pc.data());
+    const int stride = CsWord::kWords;
+    std::vector<std::uint64_t> os((std::size_t)(n * stride), 0);
+    std::vector<std::uint64_t> oc((std::size_t)(n * stride), 0);
+    slice::unpack_words(ps.data(), width, n, os.data(), stride);
+    slice::unpack_words(pc.data(), width, n, oc.data(), stride);
+    for (int L = 0; L < n; ++L) {
+      const CsNum want = reduce_tile_products(
+          t, prod.data() + (std::size_t)(L * rows), width, 0);
+      EXPECT_EQ(cs_of_lane(os, stride, L), want.sum())
+          << "rows " << rows << " lane " << L;
+      EXPECT_EQ(cs_of_lane(oc, stride, L), want.carry())
+          << "rows " << rows << " lane " << L;
+    }
   }
 }
 

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fma/pcs_fma.hpp"
+#include "introspect/event_log.hpp"
 
 namespace csfma {
 namespace {
@@ -138,25 +140,77 @@ TEST(PcsConfig, ChainsWorkAcrossGeometries) {
   }
 }
 
-TEST(PcsConfig, OtherGeometriesBatchThroughTheScalarDatapath) {
-  // The sliced block is sized for 55/11; other geometries' batches must
-  // equal their per-operation results.
-  Rng rng(205);
-  std::vector<OperandTriple> ops(200);
-  for (auto& t : ops) {
-    t.a = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-20, 20));
-    t.b = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-20, 20));
-    t.c = PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(-20, 20));
+/// Random normals plus the datapath's early exits and events: zeros,
+/// infinities, NaN, A pass-through, cancellation (exact and massive),
+/// tiny products and overflow.
+std::vector<OperandTriple> mixed_stream(std::uint64_t seed) {
+  Rng rng(seed);
+  auto num = [&](int lo, int hi) {
+    return PFloat::from_double(kBinary64, rng.next_fp_in_exp_range(lo, hi));
+  };
+  auto d = [](double v) { return PFloat::from_double(kBinary64, v); };
+  std::vector<OperandTriple> ops;
+  for (int i = 0; i < 300; ++i) {
+    OperandTriple t{num(-20, 20), num(-20, 20), num(-20, 20)};
+    switch (i % 10) {
+      case 1:  // cancellation
+        t.a = PFloat::mul(t.b, t.c, kBinary64, Round::NearestEven).negated();
+        break;
+      case 3: t.b = d(0.0); break;
+      case 4: t.a = d(i % 20 == 4 ? 1e200 : -1e250); break;  // pass-through
+      case 5: t.b = d(1e-300); t.c = d(-1e-300); t.a = d(0.0); break;
+      case 6: t.b = d(1e300); t.c = d(1e300); break;
+      case 8:  // exact cancellation with short significands
+        t.b = d(1.5 * (i % 7 + 1));
+        t.c = d(-0.75);
+        t.a = PFloat::mul(t.b, t.c, kBinary64, Round::NearestEven).negated();
+        break;
+      case 7:
+        if (i % 30 == 7) t.c = PFloat::inf(kBinary64, true);
+        if (i % 30 == 17) t.a = PFloat::nan(kBinary64);
+        if (i % 30 == 27) t.a = d(-0.0);
+        break;
+      default: break;
+    }
+    ops.push_back(t);
   }
-  PcsFma unit(kPcs56g8);
-  std::vector<PFloat> out(ops.size());
-  FmaBatchHooks hooks;
-  hooks.rm = Round::HalfAwayFromZero;
-  unit.fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const PFloat one =
-        unit.fma_ieee(ops[i].a, ops[i].b, ops[i].c, Round::HalfAwayFromZero);
-    ASSERT_EQ(out[i].to_bits(), one.to_bits()) << i;
+  return ops;
+}
+
+std::map<std::string, std::uint64_t> toggles(const ActivityRecorder& rec) {
+  std::map<std::string, std::uint64_t> m;
+  for (const auto& [name, probe] : rec.probes()) m[name] = probe.toggles();
+  return m;
+}
+
+TEST(PcsConfig, BatchEqualsPerOperationAtEveryGeometry) {
+  // fma_ieee_batch slices at every geometry: its results, per-probe
+  // toggle counts and event log must equal the per-operation loop's.
+  const std::vector<OperandTriple> ops = mixed_stream(205);
+  for (const PcsConfig& g :
+       {PcsConfig{8, 4}, PcsConfig{44, 11}, kPaperPcs, kPcs56g8}) {
+    SCOPED_TRACE(std::to_string(g.block) + "/" + std::to_string(g.group));
+    ActivityRecorder rec_batch, rec_loop;
+    EventLog ev_batch(1 << 12), ev_loop(1 << 12);
+    IntrospectHooks h_batch{nullptr, &ev_batch}, h_loop{nullptr, &ev_loop};
+    PcsFma batch(g, &rec_batch, &h_batch), loop(g, &rec_loop, &h_loop);
+    std::vector<PFloat> out(ops.size());
+    FmaBatchHooks hooks;
+    hooks.rm = Round::HalfAwayFromZero;
+    hooks.events = &ev_batch;
+    hooks.base_index = 7;
+    batch.fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ev_loop.begin_op(7 + i, ops[i].a.to_bits().lo64(),
+                       ops[i].b.to_bits().lo64(), ops[i].c.to_bits().lo64());
+      const PFloat one =
+          loop.fma_ieee(ops[i].a, ops[i].b, ops[i].c, Round::HalfAwayFromZero);
+      ASSERT_EQ(out[i].to_bits(), one.to_bits()) << i;
+    }
+    EXPECT_EQ(toggles(rec_batch), toggles(rec_loop));
+    EXPECT_EQ(rec_batch.probes().size(), 9u);
+    EXPECT_EQ(ev_batch.to_json(), ev_loop.to_json());
+    EXPECT_GT(ev_batch.raised(), 0u);
   }
 }
 
@@ -197,12 +251,26 @@ TEST(PcsConfig, ExhaustiveTinyFormatMatchesPFloat) {
   //   * at 55/11 the readout is also value-exact: the truncation sits far
   //     below binary64 precision, so nearest-mode readout equals
   //     PFloat::fma.
+  // The class, sign and readout checks also run on every triple through
+  // fma_ieee_batch, whose bit-plane instantiation of the stages thereby
+  // meets the softfloat oracle directly, not only the one-lane path.
   std::vector<PFloat> tiny, wide;
   for (std::uint64_t bits = 0; bits < 64; ++bits) {
     tiny.push_back(PFloat::from_bits(kTiny, U128(bits)));
     wide.push_back(tiny.back().round_to(kBinary64, Round::NearestEven));
   }
   const Round modes[] = {Round::NearestEven, Round::HalfAwayFromZero};
+  std::vector<OperandTriple> ops;
+  std::vector<PFloat> refs[2];
+  for (const PFloat& a : tiny) {
+    for (const PFloat& c : tiny) {
+      for (const PFloat& b : wide) {
+        ops.push_back({a, b, c});
+        for (int m = 0; m < 2; ++m)
+          refs[m].push_back(PFloat::fma(b, c, a, kBinary64, modes[m]));
+      }
+    }
+  }
   for (const PcsConfig& geom : {PcsConfig{8, 4}, PcsConfig{10, 5}, kPaperPcs}) {
     SCOPED_TRACE(std::to_string(geom.block) + "/" + std::to_string(geom.group));
     PcsFma unit(geom);
@@ -212,11 +280,27 @@ TEST(PcsConfig, ExhaustiveTinyFormatMatchesPFloat) {
       ++count;
       if (first.empty()) first = what;
     };
+    // The IEEE-class, sign and readout checks of one binary64 result.
+    auto check = [&](const PFloat& got, const PFloat& ref,
+                     const OperandTriple& t, const char* path) {
+      if (got.cls() != ref.cls() ||
+          (!ref.is_nan() && got.sign() != ref.sign())) {
+        fail(class_or_sign, std::string(path) + " class/sign " +
+                                describe(t.a, t.b, t.c) + " got " +
+                                got.to_string() + " want " + ref.to_string());
+      } else if (geom == kPaperPcs && !ref.is_nan() &&
+                 !PFloat::same_value(got, ref)) {
+        fail(readout, std::string(path) + " readout " +
+                          describe(t.a, t.b, t.c));
+      }
+    };
+    std::size_t idx = 0;
     for (const PFloat& a : tiny) {
       const PcsOperand pa = ieee_to_pcs(a, geom);
       for (const PFloat& c : tiny) {
         const PcsOperand pc = ieee_to_pcs(c, geom);
         for (const PFloat& b : wide) {
+          const std::size_t k = idx++;
           const PcsOperand r = unit.fma(pa, b, pc);
           if (r.cls() == FpClass::Normal) {
             // Exact in kWideExact: the inputs carry 3 significant bits.
@@ -232,21 +316,20 @@ TEST(PcsConfig, ExhaustiveTinyFormatMatchesPFloat) {
             if (d.sign() || !slack.is_normal() || slack.sign())
               fail(bound, "bound " + describe(a, b, c));
           }
-          for (Round rm : modes) {
-            const PFloat got = pcs_to_ieee(r, kBinary64, rm);
-            const PFloat ref = PFloat::fma(b, c, a, kBinary64, rm);
-            if (got.cls() != ref.cls() ||
-                (!ref.is_nan() && got.sign() != ref.sign())) {
-              fail(class_or_sign, "class/sign " + describe(a, b, c) +
-                                      " got " + got.to_string() + " want " +
-                                      ref.to_string());
-            } else if (geom == kPaperPcs && !ref.is_nan() &&
-                       !PFloat::same_value(got, ref)) {
-              fail(readout, "readout " + describe(a, b, c));
-            }
-          }
+          for (int m = 0; m < 2; ++m)
+            check(pcs_to_ieee(r, kBinary64, modes[m]), refs[m][k], ops[k],
+                  "fma");
         }
       }
+    }
+    // The same triples through the bit-sliced batch path.
+    std::vector<PFloat> out(ops.size());
+    for (int m = 0; m < 2; ++m) {
+      FmaBatchHooks hooks;
+      hooks.rm = modes[m];
+      unit.fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
+      for (std::size_t k = 0; k < ops.size(); ++k)
+        check(out[k], refs[m][k], ops[k], "batch");
     }
     EXPECT_EQ(class_or_sign, 0) << first;
     EXPECT_EQ(bound, 0) << first;

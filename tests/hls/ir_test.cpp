@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace csfma {
 namespace {
 
@@ -46,6 +48,20 @@ TEST(Ir, UsersAndReplace) {
   g.replace_uses(s, s2);
   EXPECT_TRUE(g.users(s).empty());
   EXPECT_EQ(g.users(s2).size(), 1u);
+}
+
+TEST(Ir, UsersIndexMatchesUsers) {
+  Cdfg g = listing1();
+  const int x = g.add_input("x");
+  const int sq = g.add_op(OpKind::Mul, {x, x});  // reads x twice
+  const int dead = g.add_op(OpKind::Add, {sq, x});
+  g.add_output("sq", g.add_op(OpKind::Add, {sq, sq}));
+  g.mark_dead(dead);
+  const auto index = g.users_index();
+  ASSERT_EQ((int)index.size(), g.num_nodes());
+  for (int id = 0; id < g.num_nodes(); ++id)
+    EXPECT_EQ(index[(size_t)id], g.users(id)) << id;
+  EXPECT_EQ(index[(size_t)x], std::vector<int>{sq});
 }
 
 TEST(Ir, PruneDeadRemovesUnreachable) {
