@@ -151,41 +151,44 @@ std::vector<Component> build_fcs(const DseConfig& cfg, const Device& dev) {
   return c;
 }
 
-/// Toggles per multiply-add of the configured unit on the Sec. IV-B
-/// recurrence stream (cfg.ops operations, IEEE boundaries): the adder
-/// stage for PCS, every probe for the other units.  Pure in (unit,
-/// geometry, select, rm, seed, ops).
-double measure_model_toggles(const DseConfig& cfg) {
+/// Toggles per multiply-add of the workload's unit on the Sec. IV-B
+/// recurrence stream (w.ops operations, IEEE boundaries): the adder stage
+/// for PCS, every probe for the other units.
+double measure_model_toggles(const EnergyWorkload& w) {
   const int runs =
-      static_cast<int>((cfg.ops + 31) / 32);  // 32 triples per depth-18 run
-  RecurrenceSource src(cfg.seed, runs, 18);
-  std::vector<OperandTriple> ops(cfg.ops);
+      static_cast<int>((w.ops + 31) / 32);  // 32 triples per depth-18 run
+  RecurrenceSource src(w.seed, runs, 18);
+  std::vector<OperandTriple> ops(w.ops);
   src.fill(0, ops.data(), ops.size());
 
   ActivityRecorder rec;
-  switch (cfg.unit) {
+  switch (w.unit) {
     case UnitKind::Pcs: {
-      // PCS points count the adder stage only (see eval.hpp).
-      PcsFma unit(PcsConfig{cfg.block, cfg.group}, &rec);
-      for (const auto& t : ops) unit.fma_ieee(t.a, t.b, t.c, cfg.rm);
+      // PCS points count the adder stage only (see eval.hpp).  The batch
+      // path keeps every probe's toggles equal to the per-op loop.
+      PcsFma unit(PcsConfig{w.block, w.group}, &rec);
+      std::vector<PFloat> out(ops.size());
+      FmaBatchHooks hooks;
+      hooks.rm = w.rm;
+      unit.fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
       return static_cast<double>(rec.probes().at("add.sum").toggles() +
                                  rec.probes().at("add.carry").toggles()) /
-             static_cast<double>(cfg.ops);
+             static_cast<double>(w.ops);
     }
     case UnitKind::Fcs: {
-      FcsFma unit(&rec, cfg.select == BlockSelect::Zd ? FcsSelect::ZeroDetect
-                                                      : FcsSelect::EarlyLza);
-      for (const auto& t : ops) unit.fma_ieee(t.a, t.b, t.c, cfg.rm);
+      FcsFma unit(&rec, w.select == BlockSelect::Zd ? FcsSelect::ZeroDetect
+                                                    : FcsSelect::EarlyLza);
+      for (const auto& t : ops) unit.fma_ieee(t.a, t.b, t.c, w.rm);
       break;
     }
     default: {
-      std::unique_ptr<FmaUnit> unit = make_fma_unit(cfg.unit, &rec);
-      for (const auto& t : ops) unit->fma_ieee(t.a, t.b, t.c, cfg.rm);
+      std::unique_ptr<FmaUnit> unit = make_fma_unit(w.unit, &rec);
+      for (const auto& t : ops) unit->fma_ieee(t.a, t.b, t.c, w.rm);
       break;
     }
   }
   return static_cast<double>(rec.total_toggles()) /
-         static_cast<double>(cfg.ops);
+         static_cast<double>(w.ops);
 }
 
 /// (alpha, beta) calibrated once against the Table II anchors — the
@@ -199,9 +202,9 @@ const EnergyCoefficients& model_coefficients() {
     a.unit = UnitKind::Discrete;
     DseConfig b;
     b.unit = UnitKind::Pcs;
-    return calibrate(measure_model_toggles(a),
+    return calibrate(measure_model_toggles(EnergyWorkload::of(a)),
                      total_area(build_model_chain(a, dev)).luts, 0.54,
-                     measure_model_toggles(b),
+                     measure_model_toggles(EnergyWorkload::of(b)),
                      total_area(build_model_chain(b, dev)).luts, 2.67);
   }();
   return k;
@@ -224,7 +227,25 @@ std::vector<Component> build_model_chain(const DseConfig& cfg,
   return {};
 }
 
-DseMetrics eval_design(const DseConfig& cfg) {
+EnergyWorkload EnergyWorkload::of(const DseConfig& cfg) {
+  EnergyWorkload w;
+  w.unit = cfg.unit;
+  w.rm = cfg.rm;
+  w.seed = cfg.seed;
+  w.ops = cfg.ops;
+  if (cfg.unit == UnitKind::Pcs) {
+    w.block = cfg.block;
+    w.group = cfg.group;
+  }
+  if (cfg.unit == UnitKind::Fcs) w.select = cfg.select;
+  return w;
+}
+
+bool Evaluator::reuses(const DseConfig& cfg) const {
+  return toggles_per_op_.contains(EnergyWorkload::of(cfg));
+}
+
+DseMetrics Evaluator::eval(const DseConfig& cfg) {
   const Device dev = virtex6();
   const std::vector<Component> chain = build_model_chain(cfg, dev);
 
@@ -247,10 +268,16 @@ DseMetrics eval_design(const DseConfig& cfg) {
   m.delay_ns = p.cycles * 1000.0 / p.fmax_mhz;
   m.luts = area.luts;
   m.dsps = area.dsps;
-  m.toggles_per_op = measure_model_toggles(cfg);
+  const EnergyWorkload w = EnergyWorkload::of(cfg);
+  auto it = toggles_per_op_.find(w);
+  if (it == toggles_per_op_.end())
+    it = toggles_per_op_.emplace(w, measure_model_toggles(w)).first;
+  m.toggles_per_op = it->second;
   m.energy_nj =
       energy_per_op_nj(model_coefficients(), m.toggles_per_op, m.luts);
   return m;
 }
+
+DseMetrics eval_design(const DseConfig& cfg) { return Evaluator().eval(cfg); }
 
 }  // namespace csfma::dse

@@ -10,8 +10,19 @@
 // alone — same determinism contract as the engine: no wall clock, no
 // global state, safe to evaluate concurrently and to cache by canonical
 // key.
+//
+// A point has two parts: the structural model (chain, pipeliner, area),
+// which reads every knob and is cheap, and the energy workload, the Sec.
+// IV-B recurrence simulated on the unit, which reads only the knobs in
+// EnergyWorkload.  An Evaluator measures each distinct workload once, so
+// a sweep over depth x rwidth simulates once per workload, not per point,
+// with bit-identical metrics.  The service's model-eval trace span says
+// which happened in its `workload` arg (measured | reused).
 #pragma once
 
+#include <compare>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "dse/config.hpp"
@@ -43,8 +54,37 @@ struct DseMetrics {
 std::vector<Component> build_model_chain(const DseConfig& cfg,
                                          const Device& dev);
 
-/// Evaluate one design point.  `cfg` must already be valid
-/// (DseConfig::validate() returned empty).
+/// The knobs the energy measurement reads; of() leaves the fields a unit
+/// does not use at their defaults, so two points that simulate the same
+/// stream compare equal.
+struct EnergyWorkload {
+  UnitKind unit = UnitKind::Pcs;
+  Round rm = Round::NearestEven;
+  std::uint64_t seed = 1;
+  std::uint64_t ops = 32;
+  int block = 0;  // PCS geometry only
+  int group = 0;  // PCS geometry only
+  BlockSelect select = BlockSelect::Lza;  // FCS only
+
+  static EnergyWorkload of(const DseConfig& cfg);
+  auto operator<=>(const EnergyWorkload&) const = default;
+};
+
+/// Evaluates design points, measuring each distinct energy workload once
+/// per Evaluator.  Not thread-safe: one evaluator per sweep job.
+class Evaluator {
+ public:
+  /// Evaluate one design point.  `cfg` must already be valid
+  /// (DseConfig::validate() returned empty).
+  DseMetrics eval(const DseConfig& cfg);
+  /// True when eval(cfg) would reuse a workload this evaluator measured.
+  bool reuses(const DseConfig& cfg) const;
+
+ private:
+  std::map<EnergyWorkload, double> toggles_per_op_;
+};
+
+/// Evaluate one design point with a fresh Evaluator.
 DseMetrics eval_design(const DseConfig& cfg);
 
 }  // namespace csfma::dse

@@ -139,7 +139,8 @@ PcsOperand PcsDotProduct::dot(
     probes_[UnitProbe::DotCarry].observe(acc.carry());
   }
 
-  // ---- Carry Reduce + ZD + 6:1 mux, exactly the PCS-FMA back end ----
+  // ---- Carry Reduce + ZD + 6:1 mux: a copy of the PCS-FMA back end,
+  //      hard-wired to the 55/11 geometry (PcsFma's stages read theirs) ----
   PcsNum reduced = carry_reduce(acc, G.group);
   const int k = count_skippable_blocks(reduced.as_cs(), G.block, 5);
   const int mant_lo = (5 - k) * G.block;

@@ -501,6 +501,25 @@ typename P::Mux sum_stages(const PcsConfig& g, Sinks& s, Lane* lanes, int n,
   return mux;
 }
 
+/// One operation past its front end, on one lane: the side wires, a zero
+/// product and A's pass-through leave early; a datapath operation runs the
+/// stage sequence and the readout and leaves its ZD skip in `zd_skip`.
+PcsOperand one_lane(Route route, Lane& lane, const PcsOperand& a,
+                    const PFloat& b, const PcsOperand& c, const PcsConfig& g,
+                    Sinks& sinks, EventLog* events, int& zd_skip) {
+  if (route == Route::SideWire) return bypass_result(route, a, b, c, 0);
+  raise_rounding_events(events, lane);
+  if (route == Route::ZeroProduct)
+    return bypass_result(route, a, b, c, lane.rnd_a);
+  const CsNum product = multiply_stage<OneLane>(g, sinks, &lane, 1);
+  if (route == Route::PassThrough)
+    return bypass_result(route, a, b, c, lane.rnd_a);
+  const OneLane::Mux mux = sum_stages<OneLane>(g, sinks, &lane, 1, product);
+  raise_stage_events(events, lane, g);
+  zd_skip = lane.skip;
+  return finish(lane, mux.mant, mux.tail, g, events);
+}
+
 }  // namespace
 
 PcsFma::PcsFma(PcsConfig geometry, ActivityRecorder* activity,
@@ -518,20 +537,9 @@ PcsOperand PcsFma::fma(const PcsOperand& a, const PFloat& b,
   EventLog* events = hooks_ != nullptr ? hooks_->events : nullptr;
   Lane lane;
   const Route route = front_end(a, b, c, geom_, events != nullptr, lane);
-  if (route == Route::SideWire) return bypass_result(route, a, b, c, 0);
-  raise_rounding_events(events, lane);
-  if (route == Route::ZeroProduct)
-    return bypass_result(route, a, b, c, lane.rnd_a);
   Sinks sinks{probes_, hooks_ != nullptr ? hooks_->tap : nullptr,
               events != nullptr, &mul_stats_};
-  const CsNum product = multiply_stage<OneLane>(geom_, sinks, &lane, 1);
-  if (route == Route::PassThrough)
-    return bypass_result(route, a, b, c, lane.rnd_a);
-  const OneLane::Mux mux =
-      sum_stages<OneLane>(geom_, sinks, &lane, 1, product);
-  raise_stage_events(events, lane, geom_);
-  last_zd_skip_ = lane.skip;
-  return finish(lane, mux.mant, mux.tail, geom_, events);
+  return one_lane(route, lane, a, b, c, geom_, sinks, events, last_zd_skip_);
 }
 
 PFloat PcsFma::fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c,
@@ -577,17 +585,26 @@ void PcsFma::fma_ieee_batch(const OperandTriple* ops, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     const PcsOperand a = ieee_to_pcs(ops[i].a, geom_);
     const PcsOperand c = ieee_to_pcs(ops[i].c, geom_);
-    if (!tapped && front_end(a, ops[i].b, c, geom_, events != nullptr,
-                             lanes[filled]) == Route::Datapath) {
+    Lane& lane = lanes[filled];
+    const Route route =
+        front_end(a, ops[i].b, c, geom_, events != nullptr, lane);
+    if (!tapped && route == Route::Datapath) {
       if (filled == 0) first = i;
       if (++filled == slice::kLanes) run_block();
       continue;
     }
     // Side wires, a zero product and A's pass-through leave the datapath
-    // early and skip stages; they run one lane, in stream order.
+    // early and skip stages; they run one lane, in stream order, on the
+    // lane the front end just filled (run_block reads only the slots
+    // before it).
     run_block();
     begin_op(i);
-    out[i] = pcs_to_ieee(fma(a, ops[i].b, c), kBinary64, hooks.rm);
+    Sinks sinks{probes_, tapped ? hooks_->tap : nullptr, events != nullptr,
+                &mul_stats_};
+    out[i] = pcs_to_ieee(
+        one_lane(route, lane, a, ops[i].b, c, geom_, sinks, events,
+                 last_zd_skip_),
+        kBinary64, hooks.rm);
   }
   run_block();
 }

@@ -604,7 +604,8 @@ void ServiceSession::run_submit(Job& job, int worker) {
   const auto t0 = clock::now();
   std::string payload;
   std::uint64_t ops_done = 0;
-  if (!simulate(job.req, job.cache_key, job, 0, worker, &payload,
+  dse::Evaluator model;
+  if (!simulate(job.req, job.cache_key, job, 0, worker, model, &payload,
                 &ops_done)) {
     job.ops_done.store(ops_done, std::memory_order_relaxed);
     mark_cancelled(job);
@@ -639,6 +640,9 @@ void ServiceSession::run_sweep(Job& job, int worker) {
   std::uint64_t digest = kSweepDigestSeed;
   std::uint64_t hits = 0, misses = 0;
   std::uint64_t ops_base = 0;
+  // Model points that differ only in toggle-free knobs (depth, rwidth, ...)
+  // share one energy workload; the job measures each one once.
+  dse::Evaluator model;
   for (std::size_t i = 0; i < total; ++i) {
     // Point boundaries are cancellation points too (inner runs also stop
     // at engine shard boundaries, exactly like a plain submit).
@@ -665,7 +669,7 @@ void ServiceSession::run_sweep(Job& job, int worker) {
       hit = true;
     } else {
       std::uint64_t point_ops = 0;
-      if (!simulate(point, key, job, ops_base, worker, &payload,
+      if (!simulate(point, key, job, ops_base, worker, model, &payload,
                     &point_ops)) {
         job.ops_done.store(ops_base + point_ops, std::memory_order_relaxed);
         mark_cancelled(job);
@@ -714,7 +718,7 @@ void ServiceSession::run_sweep(Job& job, int worker) {
 bool ServiceSession::simulate(const SubmitRequest& req,
                               const std::string& cache_key, Job& job,
                               std::uint64_t base_ops, int worker,
-                              std::string* payload,
+                              dse::Evaluator& model, std::string* payload,
                               std::uint64_t* ops_done) {
   if (req.mode == SimMode::Model) {
     // Design-point evaluation: no engine run, no shards.  The whole point
@@ -729,12 +733,14 @@ bool ServiceSession::simulate(const SubmitRequest& req,
       span.arg("key", cache_key);
       if (!job.trace_id.empty()) span.arg("trace", job.trace_id);
       if (!job.parent_span.empty()) span.arg("parent", job.parent_span);
-      m = dse::eval_design(cfg);
+      span.arg("workload", model.reuses(cfg) ? "reused" : "measured");
+      m = model.eval(cfg);
     }
     *ops_done = req.total_ops();
     // Deterministic payload: every value below is a pure function of the
-    // canonical key (dse::eval_design is seeded and wall-clock free), so
-    // model points keep the byte-identical-replay contract.
+    // canonical key (evaluation is seeded and wall-clock free, and a reused
+    // workload is bit-equal to a fresh one), so model points keep the
+    // byte-identical-replay contract.
     Report rep("csfma_serve");
     rep.meta("mode", to_string(req.mode));
     rep.meta("unit", to_string(req.unit));

@@ -39,6 +39,10 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
+namespace csfma::dse {
+class Evaluator;
+}  // namespace csfma::dse
+
 namespace csfma {
 
 struct ServiceConfig {
@@ -173,10 +177,12 @@ class ServiceSession {
   /// Simulate `req` and render its deterministic result payload (with
   /// `cache_key` as its identity in the report meta); returns false
   /// (without a payload) when the run was aborted.  `base_ops` offsets the
-  /// job-level progress for sweep points that already completed.
+  /// job-level progress for sweep points that already completed.  Model
+  /// points evaluate through `model`, the job's evaluator.
   bool simulate(const SubmitRequest& req, const std::string& cache_key,
                 Job& job, std::uint64_t base_ops, int worker,
-                std::string* payload, std::uint64_t* ops_done);
+                dse::Evaluator& model, std::string* payload,
+                std::uint64_t* ops_done);
   /// Admission control (call with mu_ held): true when the pending queue
   /// is full, in which case the caller answers `busy` instead of queueing.
   bool reject_if_busy_locked(const char* type, const RequestCtx& ctx);

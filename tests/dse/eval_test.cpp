@@ -1,7 +1,8 @@
 // eval_design / build_model_chain: the exploration's origin points are
 // exactly the fixed Table I builders (component for component), the
-// Table II energy anchors hold, and evaluation is a pure function of
-// the DseConfig (the cacheability contract behind the canonical key).
+// Table II energy anchors hold, evaluation is a pure function of the
+// DseConfig (the cacheability contract behind the canonical key), and the
+// energy workload reads only the knobs its key holds.
 #include "dse/eval.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,17 @@ void expect_same_chain(const std::vector<Component>& got,
     EXPECT_EQ(g.off_critical_path, w.off_critical_path)
         << label << "[" << i << "] " << g.name;
   }
+}
+
+void expect_same_metrics(const DseMetrics& a, const DseMetrics& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.delay_ns, b.delay_ns) << label;
+  EXPECT_EQ(a.cycles, b.cycles) << label;
+  EXPECT_EQ(a.fmax_mhz, b.fmax_mhz) << label;
+  EXPECT_EQ(a.luts, b.luts) << label;
+  EXPECT_EQ(a.dsps, b.dsps) << label;
+  EXPECT_EQ(a.toggles_per_op, b.toggles_per_op) << label;
+  EXPECT_EQ(a.energy_nj, b.energy_nj) << label;
 }
 
 TEST(EvalChain, PcsDefaultGeometryMatchesFixedBuilder) {
@@ -94,15 +106,7 @@ TEST(EvalDesign, IsAPureFunctionOfTheConfig) {
   cfg.round_width = 11;
   cfg.select = BlockSelect::Zd;
   cfg.depth = 12;
-  const DseMetrics a = eval_design(cfg);
-  const DseMetrics b = eval_design(cfg);
-  EXPECT_EQ(a.delay_ns, b.delay_ns);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.fmax_mhz, b.fmax_mhz);
-  EXPECT_EQ(a.luts, b.luts);
-  EXPECT_EQ(a.dsps, b.dsps);
-  EXPECT_EQ(a.toggles_per_op, b.toggles_per_op);
-  EXPECT_EQ(a.energy_nj, b.energy_nj);
+  expect_same_metrics(eval_design(cfg), eval_design(cfg), "fcs");
 }
 
 TEST(EvalDesign, KnobsActuallyMoveTheMetrics) {
@@ -116,6 +120,82 @@ TEST(EvalDesign, KnobsActuallyMoveTheMetrics) {
   DseConfig shallow = base;
   shallow.depth = 2;
   EXPECT_GT(eval_design(deep).cycles, eval_design(shallow).cycles);
+}
+
+TEST(EvalDesign, EnergyWorkloadIgnoresOnlyToggleFreeKnobs) {
+  for (UnitKind unit : kAllUnitKinds) {
+    const std::string name = to_string(unit);
+    DseConfig base;
+    base.unit = unit;
+    base.block = 33;
+    base.group = 11;
+    base.ops = 16;
+    const double toggles = eval_design(base).toggles_per_op;
+    ASSERT_GT(toggles, 0.0) << name;
+
+    // Knobs the workload drops: depth and rwidth for every unit, the
+    // geometry for all but PCS, the block selection for all but FCS.
+    std::vector<DseConfig> dropped;
+    DseConfig v = base;
+    v.depth = 16;
+    dropped.push_back(v);
+    v = base;
+    v.round_width = 22;
+    dropped.push_back(v);
+    if (unit != UnitKind::Pcs) {
+      v = base;
+      v.block = 44;
+      v.group = 4;
+      dropped.push_back(v);
+    }
+    if (unit != UnitKind::Fcs) {
+      v = base;
+      v.select = BlockSelect::Zd;
+      dropped.push_back(v);
+    }
+    Evaluator shared;
+    shared.eval(base);
+    for (std::size_t i = 0; i < dropped.size(); ++i) {
+      const std::string label = name + " variant " + std::to_string(i);
+      ASSERT_EQ(dropped[i].validate(), "") << label;
+      EXPECT_EQ(EnergyWorkload::of(dropped[i]), EnergyWorkload::of(base))
+          << label;
+      // Fresh evaluations: the toggles really do not depend on the knob.
+      EXPECT_EQ(eval_design(dropped[i]).toggles_per_op, toggles) << label;
+      // A reused workload gives exactly the fresh point's metrics.
+      EXPECT_TRUE(shared.reuses(dropped[i])) << label;
+      expect_same_metrics(shared.eval(dropped[i]), eval_design(dropped[i]),
+                          label);
+    }
+
+    // Knobs the workload keeps change its key.
+    std::vector<DseConfig> kept;
+    v = base;
+    v.seed = 2;
+    kept.push_back(v);
+    v = base;
+    v.ops = 32;
+    kept.push_back(v);
+    v = base;
+    v.rm = Round::HalfAwayFromZero;
+    kept.push_back(v);
+    if (unit == UnitKind::Pcs) {
+      v = base;
+      v.block = 44;
+      kept.push_back(v);
+    }
+    if (unit == UnitKind::Fcs) {
+      v = base;
+      v.select = BlockSelect::Zd;
+      kept.push_back(v);
+    }
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      const std::string label = name + " kept " + std::to_string(i);
+      EXPECT_NE(EnergyWorkload::of(kept[i]), EnergyWorkload::of(base))
+          << label;
+      EXPECT_FALSE(shared.reuses(kept[i])) << label;
+    }
+  }
 }
 
 }  // namespace

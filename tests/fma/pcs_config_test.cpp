@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "fma/pcs_fma.hpp"
 #include "introspect/event_log.hpp"
+#include "introspect/signal_tap.hpp"
 
 namespace csfma {
 namespace {
@@ -185,32 +186,40 @@ std::map<std::string, std::uint64_t> toggles(const ActivityRecorder& rec) {
 
 TEST(PcsConfig, BatchEqualsPerOperationAtEveryGeometry) {
   // fma_ieee_batch slices at every geometry: its results, per-probe
-  // toggle counts and event log must equal the per-operation loop's.
+  // toggle counts and event log must equal the per-operation loop's.  A
+  // tapped unit runs one lane at a time and must trace the same wires.
   const std::vector<OperandTriple> ops = mixed_stream(205);
-  for (const PcsConfig& g :
-       {PcsConfig{8, 4}, PcsConfig{44, 11}, kPaperPcs, kPcs56g8}) {
-    SCOPED_TRACE(std::to_string(g.block) + "/" + std::to_string(g.group));
-    ActivityRecorder rec_batch, rec_loop;
-    EventLog ev_batch(1 << 12), ev_loop(1 << 12);
-    IntrospectHooks h_batch{nullptr, &ev_batch}, h_loop{nullptr, &ev_loop};
-    PcsFma batch(g, &rec_batch, &h_batch), loop(g, &rec_loop, &h_loop);
-    std::vector<PFloat> out(ops.size());
-    FmaBatchHooks hooks;
-    hooks.rm = Round::HalfAwayFromZero;
-    hooks.events = &ev_batch;
-    hooks.base_index = 7;
-    batch.fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      ev_loop.begin_op(7 + i, ops[i].a.to_bits().lo64(),
-                       ops[i].b.to_bits().lo64(), ops[i].c.to_bits().lo64());
-      const PFloat one =
-          loop.fma_ieee(ops[i].a, ops[i].b, ops[i].c, Round::HalfAwayFromZero);
-      ASSERT_EQ(out[i].to_bits(), one.to_bits()) << i;
+  for (const bool tapped : {false, true}) {
+    for (const PcsConfig& g :
+         {PcsConfig{8, 4}, PcsConfig{44, 11}, kPaperPcs, kPcs56g8}) {
+      SCOPED_TRACE(std::to_string(g.block) + "/" + std::to_string(g.group) +
+                   (tapped ? " tapped" : ""));
+      ActivityRecorder rec_batch, rec_loop;
+      EventLog ev_batch(1 << 12), ev_loop(1 << 12);
+      SignalTap tap_batch, tap_loop;
+      IntrospectHooks h_batch{tapped ? &tap_batch : nullptr, &ev_batch},
+          h_loop{tapped ? &tap_loop : nullptr, &ev_loop};
+      PcsFma batch(g, &rec_batch, &h_batch), loop(g, &rec_loop, &h_loop);
+      std::vector<PFloat> out(ops.size());
+      FmaBatchHooks hooks;
+      hooks.rm = Round::HalfAwayFromZero;
+      hooks.events = &ev_batch;
+      hooks.base_index = 7;
+      batch.fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        ev_loop.begin_op(7 + i, ops[i].a.to_bits().lo64(),
+                         ops[i].b.to_bits().lo64(),
+                         ops[i].c.to_bits().lo64());
+        const PFloat one = loop.fma_ieee(ops[i].a, ops[i].b, ops[i].c,
+                                         Round::HalfAwayFromZero);
+        ASSERT_EQ(out[i].to_bits(), one.to_bits()) << i;
+      }
+      EXPECT_EQ(toggles(rec_batch), toggles(rec_loop));
+      EXPECT_EQ(rec_batch.probes().size(), 9u);
+      EXPECT_EQ(ev_batch.to_json(), ev_loop.to_json());
+      EXPECT_GT(ev_batch.raised(), 0u);
+      EXPECT_EQ(tap_batch.render(), tap_loop.render());
     }
-    EXPECT_EQ(toggles(rec_batch), toggles(rec_loop));
-    EXPECT_EQ(rec_batch.probes().size(), 9u);
-    EXPECT_EQ(ev_batch.to_json(), ev_loop.to_json());
-    EXPECT_GT(ev_batch.raised(), 0u);
   }
 }
 

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "service/json_value.hpp"
 #include "service/session.hpp"
+#include "telemetry/trace.hpp"
 
 namespace csfma {
 namespace {
@@ -260,6 +262,75 @@ TEST(SweepSession, SweepDeduplicatesAgainstPlainSubmits) {
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].find("cache_hits")->as_int(), 1);
   EXPECT_EQ(done[0].find("cache_misses")->as_int(), 3);
+}
+
+/// The report spliced into a result or sweep_point line (its last member).
+std::string report_of(const std::string& line) {
+  const std::size_t at = line.find("\"report\":");
+  EXPECT_NE(at, std::string::npos) << line;
+  return line.substr(at + 9, line.size() - 1 - (at + 9));
+}
+
+TEST(SweepSession, ModelSweepPointsEqualPlainSubmits) {
+  // Points that differ only in depth and rwidth (and select, for PCS) share
+  // one energy workload, which the sweep measures once.  Each streamed
+  // payload must still be byte-equal to a plain submit of that point in a
+  // fresh session, and the digest must fold exactly those payloads.
+  LineSink sink;
+  TraceSession trace;
+  ServiceConfig cfg;
+  ServiceConfig traced = cfg;
+  traced.trace = &trace;
+  ServiceSession session(traced, sink.fn());
+  session.handle_line(
+      R"({"type":"sweep","id":"m","mode":"model","unit":["pcs","fcs"],)"
+      R"("seed":9,"block":33,"group":11,"rwidth":[0,11],)"
+      R"("select":["lza","zd"],"depth":[2,8],"ops":16})");
+  session.wait_idle();
+  const std::vector<std::string> raw = sink.raw_points();
+  ASSERT_EQ(raw.size(), 16u);
+
+  LineSink plain_sink;
+  ServiceSession plain(cfg, plain_sink.fn());
+  std::size_t i = 0;
+  std::uint64_t digest = kSweepDigestSeed;
+  // Model nesting: unit > rwidth > select > depth.
+  for (const char* unit : {"pcs", "fcs"})
+    for (int rwidth : {0, 11})
+      for (const char* select : {"lza", "zd"})
+        for (int depth : {2, 8}) {
+          const std::string id = "p" + std::to_string(i);
+          plain.handle_line(
+              R"({"type":"submit","id":")" + id +
+              R"(","mode":"model","unit":")" + unit +
+              R"(","seed":9,"block":33,"group":11,"rwidth":)" +
+              std::to_string(rwidth) + R"(,"select":")" + select +
+              R"(","depth":)" + std::to_string(depth) + R"(,"ops":16})");
+          plain.wait_idle();
+          const std::vector<std::string> lines = plain_sink.lines();
+          const std::string& result = lines.back();
+          ASSERT_NE(result.find("\"type\":\"result\""), std::string::npos)
+              << result;
+          ASSERT_NE(result.find("\"cache\":\"miss\""), std::string::npos)
+              << result;
+          const std::string payload = report_of(result);
+          EXPECT_EQ(report_of(raw[i]), payload) << "point " << i;
+          digest = fold_sweep_digest(digest, payload);
+          ++i;
+        }
+  auto done = sink.of_type("sweep_done");
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].find("cache_misses")->as_int(), 16);
+  EXPECT_EQ(done[0].find("digest")->as_string(), hex16(digest));
+  // One workload for PCS (select is FCS-only), one per select for FCS.
+  std::map<std::string, int> workloads;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.name != "model-eval") continue;
+    for (const TraceArg& a : ev.args)
+      if (a.key == "workload") ++workloads[a.value];
+  }
+  EXPECT_EQ(workloads["measured"], 3);
+  EXPECT_EQ(workloads["reused"], 13);
 }
 
 TEST(SweepSession, StatusReportsPointProgress) {
