@@ -1,7 +1,6 @@
 #include "cs/lza.hpp"
 
 #include "common/check.hpp"
-#include "introspect/event_log.hpp"
 
 namespace csfma {
 
@@ -48,15 +47,6 @@ int lza_estimate(const CsNum& x) {
       boundary < 0 ? carry_in.bit(w - 1) : carry_in.bit(boundary);
   const int est = run - (carry_hits_boundary ? 1 : 0);
   return est < 0 ? 0 : est;
-}
-
-int lza_estimate(const CsNum& x, EventLog* events) {
-  const int est = lza_estimate(x);
-  if (events != nullptr) {
-    const int exact = leading_sign_run(x);
-    if (exact != est) events->raise(EventKind::LzaMispredict, exact - est);
-  }
-  return est;
 }
 
 }  // namespace csfma

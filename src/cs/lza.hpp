@@ -37,12 +37,4 @@ int leading_sign_run(const CsNum& x);
 /// Guarantee: lza_estimate(x) <= leading_sign_run(x) <= lza_estimate(x) + 1.
 int lza_estimate(const CsNum& x);
 
-class EventLog;
-
-/// lza_estimate with event instrumentation: when `events` is non-null and
-/// the anticipator lands one position short of the exact leading sign run
-/// (the kLzaMaxError case), raises EventKind::LzaMispredict with the
-/// shortfall as detail.  `events == nullptr` is exactly lza_estimate(x).
-int lza_estimate(const CsNum& x, EventLog* events);
-
 }  // namespace csfma

@@ -35,6 +35,7 @@ class PcsNum {
 
   CsWord to_binary() const { return (sum_ + carries_).truncated(width_); }
   CsWord signed_value() const { return as_cs().signed_value(); }
+  bool is_value_negative() const { return to_binary().bit(width_ - 1); }
 
   /// Extract `len` digits starting at `lo`; `lo` must be group-aligned so
   /// the carry positions of the extraction remain group-aligned.

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/check.hpp"
-#include "introspect/event_log.hpp"
 
 namespace csfma {
 
@@ -123,16 +122,6 @@ int count_skippable_blocks(const CsNum& x, int block_digits, int max_skip) {
     ++skipped;
   }
   return skipped;
-}
-
-int count_skippable_blocks(const CsNum& x, int block_digits, int max_skip,
-                           EventLog* events) {
-  const int k = count_skippable_blocks(x, block_digits, max_skip);
-  if (events != nullptr && k < max_skip &&
-      skip_preserves_value(x, block_digits, k + 1)) {
-    events->raise(EventKind::ZeroDetectLate, k);
-  }
-  return k;
 }
 
 bool skip_preserves_value(const CsNum& x, int block_digits, int k) {

@@ -47,15 +47,4 @@ int count_skippable_blocks(const CsNum& x, int block_digits, int max_skip);
 /// blocks preserves the signed value.
 bool skip_preserves_value(const CsNum& x, int block_digits, int k);
 
-class EventLog;
-
-/// count_skippable_blocks with event instrumentation: when `events` is
-/// non-null and the digit-local Fig 10 rules stopped short — one more
-/// block could have been skipped without changing the value, but its
-/// pattern did not satisfy the local safeguards — raises
-/// EventKind::ZeroDetectLate with the conservative count as detail.
-/// `events == nullptr` is exactly count_skippable_blocks(x, ...).
-int count_skippable_blocks(const CsNum& x, int block_digits, int max_skip,
-                           EventLog* events);
-
 }  // namespace csfma

@@ -63,7 +63,11 @@ PFloat ClassicFma::fma(const PFloat& a, const PFloat& b, const PFloat& c) {
       }
       // LZA runs in parallel with the carry-propagate assimilation and
       // steers the variable-distance normalization shifter.
-      last_norm_shift_ = lza_estimate(adder, events);
+      last_norm_shift_ = lza_estimate(adder);
+      if (events != nullptr) {
+        const int miss = leading_sign_run(adder) - last_norm_shift_;
+        if (miss != 0) events->raise(EventKind::LzaMispredict, miss);
+      }
       CsWord assimilated = adder.to_binary();
       if (probes_) {
         probes_[UnitProbe::Norm].observe(assimilated);

@@ -3,20 +3,18 @@
 #include <algorithm>
 #include <climits>
 
-#include "common/check.hpp"
-#include "cs/zero_detect.hpp"
+#include "fma/cs_datapath.hpp"
 
 namespace csfma {
 
-/// The dot-product back end is the PCS-FMA one at the paper geometry.
-constexpr PcsConfig G = kPaperPcs;
-
 namespace {
 
-/// The largest product's msb is anchored at this window bit, leaving the
-/// same guard headroom the PCS-FMA adder has; the sum of up to 2^13 terms
-/// cannot overflow the 385b signed window.
-constexpr int kAnchorMsb = 270;
+/// The largest product's msb is anchored at the highest window bit a
+/// PCS-FMA product reaches (C's significand msb times B's port msb, one
+/// above for a carry), leaving the same guard headroom the PCS-FMA adder
+/// has; the sum of up to 2^13 terms cannot overflow the 385b signed window.
+constexpr int kAnchorMsb =
+    kPaperPcs.product_offset() + kPaperPcs.sig_msb_digit() + 53;
 
 /// Arithmetic shift right on the full 512-bit workspace.
 WideUint<8> asr(const WideUint<8>& v, int k) {
@@ -63,7 +61,10 @@ PcsOperand PcsDotProduct::dot(
   }
   int n_prods = 0;
   int max_msb = INT_MIN;
+  // An all-zero sum is -0 only if every product is -0 (IEEE, nearest).
+  bool all_negative = !terms.empty();
   for (const auto& [a, b] : terms) {
+    all_negative = all_negative && a.sign() != b.sign();
     if (!a.is_normal() || !b.is_normal()) continue;  // zero terms drop out
     Prod& p = prods[n_prods++];
     p.mag = a.sig().mul_full<2>(b.sig());
@@ -72,11 +73,11 @@ PcsOperand PcsDotProduct::dot(
                 (b.exp() - b.format().frac_bits);
     max_msb = std::max(max_msb, p.lsb_exp + p.mag.bit_width() - 1);
   }
-  if (n_prods == 0) return PcsOperand::make_zero(false);
+  if (n_prods == 0) return PcsOperand::make_zero(all_negative);
 
   // ---- align into the shared window and reduce with one CSA tree ----
   const int w0 = max_msb - kAnchorMsb;  // exponent of window bit 0
-  const CsWord wmask = CsWord::mask(G.adder_width());
+  const CsWord wmask = CsWord::mask(kPaperPcs.adder_width());
   CsWord rows_stack[64];
   std::vector<CsWord> rows_heap;
   CsWord* rows = rows_stack;
@@ -133,35 +134,23 @@ PcsOperand PcsDotProduct::dot(
       rows[i] = CsWord(placed) & wmask;
     }
   }
-  CsNum acc = reduce_rows_inplace(G.adder_width(), rows, n_prods, &tree_stats_);
+  CsNum acc = reduce_rows_inplace(kPaperPcs.adder_width(), rows, n_prods,
+                                  &tree_stats_);
   if (probes_) {
     probes_[UnitProbe::DotSum].observe(acc.sum());
     probes_[UnitProbe::DotCarry].observe(acc.carry());
   }
 
-  // ---- Carry Reduce + ZD + 6:1 mux: a copy of the PCS-FMA back end,
-  //      hard-wired to the 55/11 geometry (PcsFma's stages read theirs) ----
-  PcsNum reduced = carry_reduce(acc, G.group);
-  const int k = count_skippable_blocks(reduced.as_cs(), G.block, 5);
-  const int mant_lo = (5 - k) * G.block;
-  PcsNum mant = reduced.extract_digits(mant_lo, G.mant_digits());
-  PcsNum tail = PcsNum::zero(G.tail_digits(), G.group);
-  if (mant_lo >= G.block) {
-    tail = reduced.extract_digits(mant_lo - G.block, G.tail_digits());
-  }
-  if (mant.to_binary().is_zero() && tail.to_binary().is_zero()) {
-    return PcsOperand::make_zero(false);
-  }
-  // value = Y * 2^w0; mant digit 0 at window bit mant_lo; operand semantics
-  // give weight 2^(e_r - 107) to mant digit 0.
-  const int e_r = w0 + mant_lo + 107;
-  if (e_r > PcsConfig::kExpMax) {
-    return PcsOperand::make_inf(mant.as_cs().is_value_negative());
-  }
-  if (e_r < PcsConfig::kExpMin) {
-    return PcsOperand::make_zero(mant.as_cs().is_value_negative());
-  }
-  return PcsOperand(mant, tail, e_r, FpClass::Normal, false);
+  // The PCS-FMA back end at the paper geometry: carry reduction, ZD, block
+  // mux and exponent update.  Window bit 0 has exponent w0, the scale an
+  // FMA gives it when its product exponent is w0 + sig_msb + align_const.
+  const cs::Datapath d = cs::pcs_datapath(kPaperPcs);
+  cs::Lane lane{};
+  lane.e_p = w0 + kPaperPcs.sig_msb_digit() + d.align_const();
+  UnitProbes unobserved(nullptr);
+  cs::Sinks sinks{unobserved, nullptr, false, nullptr};
+  return cs::finish(cs::PcsResult{kPaperPcs}, d, lane,
+                    cs::normalize(d, sinks, lane, acc), nullptr);
 }
 
 PFloat PcsDotProduct::dot_ieee(

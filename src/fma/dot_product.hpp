@@ -4,10 +4,12 @@
 //
 // r = sum_i a_i * b_i is computed with ONE normalization/rounding at the
 // very end: every product is formed exactly (106b), aligned into a shared
-// 385b carry-save window, reduced with a single CSA tree, carry-reduced to
-// the PCS form and block-selected with the same Zero Detector and 6:1
-// multiplexer as the PCS-FMA.  The result is a PCS operand, so a fused dot
-// product can feed an FMA chain directly without an intermediate rounding.
+// 385b carry-save window and reduced with a single CSA tree; the PCS-FMA's
+// own back end (cs_datapath.hpp) then carry-reduces, zero-detects,
+// block-muxes and updates the exponent at the paper geometry.  The result
+// is a PCS operand, so a fused dot product can feed an FMA chain directly
+// without an intermediate rounding.  An all-zero sum is -0 only when every
+// product is -0, as in IEEE.
 //
 // Alignment truncation: terms more than ~270 bits below the largest
 // product fall off the window (the fused-accumulator behaviour of

@@ -1,5 +1,9 @@
 // The FCS-FMA unit (Sec. III-G/H, Fig 11): R = A + B * C with A, C, R in
-// full-carry-save format.  Differences from the PCS-FMA:
+// full-carry-save format, built from the PCS-FMA's blocks: it runs the
+// carry-save stage sequence (cs_datapath.hpp) at its own geometry, and
+// only its front end — the early LZA, the digit-level A test, the
+// pass-through before the multiplier — is its own.  Differences from the
+// PCS-FMA:
 //
 //   * NO Carry Reduction step: the adder output planes are passed through
 //     raw; the DSP48E1 *pre-adders* assimilate C's planes at the next
@@ -16,8 +20,8 @@
 #pragma once
 
 #include "cs/csa_tree.hpp"
-#include "cs/lza.hpp"
 #include "fma/fcs_format.hpp"
+#include "fma/fma_unit.hpp"
 #include "fma/unit_probes.hpp"
 #include "introspect/hooks.hpp"
 
@@ -46,17 +50,25 @@ class FcsFma {
   /// Single-operation convenience with IEEE boundaries.
   PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c, Round rm);
 
+  /// Bit-sliced batch form of fma_ieee, as PcsFma::fma_ieee_batch: the
+  /// stages run up to 64 lanes at a time; results, per-probe toggles and
+  /// the event sequence are bit-identical to the per-operation loop.
+  void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
+                      const FmaBatchHooks& hooks);
+
   const CsaTreeStats& last_mul_stats() const { return mul_stats_; }
-  /// Top block index chosen by the early-LZA mux in the last operation
-  /// (2..12; 11 possibilities).
-  int last_top_block() const { return last_top_block_; }
+  /// Top block index of the mux window in the last operation that reached
+  /// the adder (2..12; 11 possibilities).
+  int last_top_block() const {
+    return FcsGeometry::kAdderWidth / FcsGeometry::kBlock - 1 - last_skip_;
+  }
 
  private:
   UnitProbes probes_;
   FcsSelect select_;
   const IntrospectHooks* hooks_ = nullptr;
   CsaTreeStats mul_stats_{};
-  int last_top_block_ = 0;
+  int last_skip_ = 0;  // leading blocks the last mux window skipped
 };
 
 }  // namespace csfma

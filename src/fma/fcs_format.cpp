@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "fma/pcs_format.hpp"  // kWideExact
+#include "fma/pcs_format.hpp"  // the shared carry-save value rules
 
 namespace csfma {
 
@@ -51,43 +51,19 @@ FcsOperand FcsOperand::make_nan() {
 
 int FcsOperand::round_increment() const {
   CSFMA_CHECK(cls_ == FpClass::Normal);
-  const CsWord tail = tail_assimilated();
-  const CsWord half = CsWord::bit_at(G::kTailDigits - 1);
-  if (tail < half) return 0;
-  if (tail > half) return 1;
-  const bool negative = mant_.is_value_negative();
-  return negative ? 0 : 1;  // ties away from zero
+  return deferred_round_increment(tail_assimilated(), G::kTailDigits,
+                                  mant_.is_value_negative());
 }
 
 bool FcsOperand::round_disagrees_ieee() const {
   CSFMA_CHECK(cls_ == FpClass::Normal);
-  const CsWord tail = tail_assimilated();
-  const CsWord half = CsWord::bit_at(G::kTailDigits - 1);
-  const bool guard = !(tail < half);
-  const bool sticky = half < tail;
-  const bool lsb = mant_.to_binary().bit(0);
-  const bool negative = mant_.is_value_negative();
-  return round_disagrees_with_ieee(Round::HalfAwayFromZero, lsb, guard, sticky,
-                                   negative);
+  return deferred_round_disagrees_ieee(tail_assimilated(), G::kTailDigits,
+                                       mant_.to_binary().bit(0),
+                                       mant_.is_value_negative());
 }
 
 PFloat FcsOperand::exact_value() const {
-  switch (cls_) {
-    case FpClass::Zero:
-      return PFloat::zero(kWideExact, exc_sign_);
-    case FpClass::Inf:
-      return PFloat::inf(kWideExact, exc_sign_);
-    case FpClass::NaN:
-      return PFloat::nan(kWideExact);
-    case FpClass::Normal:
-      break;
-  }
-  WideUint<8> m = WideUint<8>(mant_.to_binary()).sext(G::kMantDigits);
-  WideUint<8> x = (m << G::kTailDigits) + WideUint<8>(tail_assimilated());
-  const bool sign = x.bit(WideUint<8>::kBits - 1);
-  const WideUint<8> mag = sign ? -x : x;
-  return PFloat::normalize_round(kWideExact, sign, mag, exp_ - G::kFracBits,
-                                 false, Round::NearestEven);
+  return fcs_to_ieee(*this, kWideExact, Round::NearestEven);
 }
 
 std::string FcsOperand::to_string() const {
@@ -130,23 +106,9 @@ FcsOperand ieee_to_fcs(const PFloat& x) {
 }
 
 PFloat fcs_to_ieee(const FcsOperand& x, const FloatFormat& fmt, Round rm) {
-  switch (x.cls()) {
-    case FpClass::Zero:
-      return PFloat::zero(fmt, x.exc_sign());
-    case FpClass::Inf:
-      return PFloat::inf(fmt, x.exc_sign());
-    case FpClass::NaN:
-      return PFloat::nan(fmt);
-    case FpClass::Normal:
-      break;
-  }
-  WideUint<8> m = WideUint<8>(x.mant().to_binary()).sext(G::kMantDigits);
-  WideUint<8> xhat = (m << G::kTailDigits) + WideUint<8>(x.tail_assimilated());
-  if (xhat.is_zero()) return PFloat::zero(fmt, false);
-  const bool sign = xhat.bit(WideUint<8>::kBits - 1);
-  const WideUint<8> mag = sign ? -xhat : xhat;
-  return PFloat::normalize_round(fmt, sign, mag, x.exp() - G::kFracBits, false,
-                                 rm);
+  return cs_operand_value(x.cls(), x.exc_sign(), x.mant().to_binary(),
+                          G::kMantDigits, x.tail_assimilated(), G::kTailDigits,
+                          x.exp() - G::kFracBits, fmt, rm);
 }
 
 }  // namespace csfma

@@ -170,6 +170,10 @@ class FcsUnit final : public FmaUnit {
                   Round rm) override {
     return unit_.fma_ieee(a, b, c, rm);
   }
+  void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
+                      const FmaBatchHooks& hooks) override {
+    unit_.fma_ieee_batch(ops, n, out, hooks);
+  }
 
  private:
   FcsFma unit_;

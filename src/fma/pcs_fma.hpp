@@ -20,15 +20,13 @@
 // two's-complement operands are assimilated where the hardware would use
 // DSP pre-adder / group-adder structures (see csa_tree.hpp and DESIGN.md).
 //
-// Every width (mantissa, tail, adder window, product offset, ZD skip
-// limit) is read from the unit's geometry; the constants above are the
-// paper's.  The stages are written once, over a word policy: fma() runs
-// them on the src/cs words for one operation, fma_ieee_batch() on
-// engine/slice.hpp bit planes for up to 64 at a time, at every geometry.
+// Every width is read from the unit's geometry; the constants above are
+// the paper's.  The stages are the carry-save stage sequence FCS and the
+// fused dot product also run (cs_datapath.hpp); this unit adds only A's
+// pass-through after the multiplier.
 #pragma once
 
 #include "cs/csa_tree.hpp"
-#include "cs/zero_detect.hpp"
 #include "fma/fma_unit.hpp"
 #include "fma/pcs_format.hpp"
 #include "fma/unit_probes.hpp"
@@ -62,16 +60,12 @@ class PcsFma {
   /// multiply/add pair computes.
   PFloat fma_ieee(const PFloat& a, const PFloat& b, const PFloat& c, Round rm);
 
-  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): runs of
-  /// operations that reach the adder go through fma()'s stage sequence
-  /// up to 64 lanes at a time — lifting, tile products and A alignment
-  /// stay per-lane; the partial-product tree, the adder, carry reduction,
-  /// zero detect and block mux run bit-parallel across the batch.
-  /// Operations with exception operands (NaN, infinity), a zero product or
-  /// an A pass-through, and every operation of a unit with a SignalTap
-  /// attached, run one lane at a time.  Results, per-probe toggle counts
-  /// and the event sequence are bit-identical to the per-operation loop
-  /// (the engine's backend-equivalence gate).
+  /// Bit-sliced batch form of fma_ieee (engine/slice.hpp): operations
+  /// that reach the adder run the stages up to 64 lanes at a time; the
+  /// others, and every operation of a tapped unit, one lane at a time.
+  /// Results, per-probe toggle counts and the event sequence are
+  /// bit-identical to the per-operation loop (the engine's
+  /// backend-equivalence gate).
   void fma_ieee_batch(const OperandTriple* ops, std::size_t n, PFloat* out,
                       const FmaBatchHooks& hooks);
 

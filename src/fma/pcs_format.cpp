@@ -51,32 +51,15 @@ int PcsOperand::round_increment() const {
   CSFMA_CHECK(cls_ == FpClass::Normal);
   // An empty tail (every freshly lifted operand) never rounds up.
   if (round_.sum().is_zero() && round_.carries().is_zero()) return 0;
-  // Half of one mantissa ulp, in tail scale: the tail covers one block of
-  // fractional digits (55: half is 2^54).
-  const CsWord tail = tail_assimilated();
-  const CsWord half = CsWord::bit_at(round_.width() - 1);
-  if (tail < half) return 0;
-  if (tail > half) return 1;
-  // Exact tie: round half AWAY FROM ZERO — the direction depends on the
-  // sign of the value (the mantissa's two's-complement sign; a zero
-  // mantissa with a positive tail is positive).
-  const bool negative = mant_.as_cs().is_value_negative();
-  return negative ? 0 : 1;
+  return deferred_round_increment(tail_assimilated(), round_.width(),
+                                  mant_.is_value_negative());
 }
 
 bool PcsOperand::round_disagrees_ieee() const {
   CSFMA_CHECK(cls_ == FpClass::Normal);
-  // Decompose the tail against half an ulp (2^54 at block 55): guard = "at
-  // least half", sticky = "strictly more" — this comparison form also
-  // covers the unwrapped tail overflow case, where both modes round up.
-  const CsWord tail = tail_assimilated();
-  const CsWord half = CsWord::bit_at(round_.width() - 1);
-  const bool guard = !(tail < half);
-  const bool sticky = half < tail;
-  const bool lsb = mant_.to_binary().bit(0);
-  const bool negative = mant_.as_cs().is_value_negative();
-  return round_disagrees_with_ieee(Round::HalfAwayFromZero, lsb, guard, sticky,
-                                   negative);
+  return deferred_round_disagrees_ieee(tail_assimilated(), round_.width(),
+                                       mant_.to_binary().bit(0),
+                                       mant_.is_value_negative());
 }
 
 PFloat PcsOperand::exact_value() const {
@@ -174,27 +157,55 @@ PcsOperand ieee_to_pcs(const PFloat& x, const PcsConfig& geom) {
 }
 
 PFloat pcs_to_ieee(const PcsOperand& x, const FloatFormat& fmt, Round rm) {
-  switch (x.cls()) {
+  const PcsConfig geom = x.geometry();
+  return cs_operand_value(x.cls(), x.exc_sign(), x.mant().to_binary(),
+                          geom.mant_digits(), x.tail_assimilated(),
+                          geom.tail_digits(), x.exp() - geom.frac_bits(), fmt,
+                          rm);
+}
+
+int deferred_round_increment(const CsWord& tail, int tail_digits,
+                             bool negative) {
+  // Half of one mantissa ulp, in tail scale (55: half is 2^54).
+  const CsWord half = CsWord::bit_at(tail_digits - 1);
+  if (tail < half) return 0;
+  if (tail > half) return 1;
+  // Exact tie: round half AWAY FROM ZERO — the direction depends on the
+  // sign of the value (the mantissa's two's-complement sign; a zero
+  // mantissa with a positive tail is positive).
+  return negative ? 0 : 1;
+}
+
+bool deferred_round_disagrees_ieee(const CsWord& tail, int tail_digits,
+                                   bool lsb, bool negative) {
+  // Decompose the tail against half an ulp: guard = "at least half",
+  // sticky = "strictly more" — this comparison form also covers the
+  // unwrapped tail overflow case, where both modes round up.
+  const CsWord half = CsWord::bit_at(tail_digits - 1);
+  return round_disagrees_with_ieee(Round::HalfAwayFromZero, lsb, !(tail < half),
+                                   half < tail, negative);
+}
+
+PFloat cs_operand_value(FpClass cls, bool exc_sign, const CsWord& mant_bits,
+                        int mant_digits, const CsWord& tail, int tail_digits,
+                        int exp2, const FloatFormat& fmt, Round rm) {
+  switch (cls) {
     case FpClass::Zero:
-      return PFloat::zero(fmt, x.exc_sign());
+      return PFloat::zero(fmt, exc_sign);
     case FpClass::Inf:
-      return PFloat::inf(fmt, x.exc_sign());
+      return PFloat::inf(fmt, exc_sign);
     case FpClass::NaN:
       return PFloat::nan(fmt);
     case FpClass::Normal:
       break;
   }
-  // X_hat = signed(mant) * 2^block + tail, evaluated in a 512-bit two's
-  // complement workspace; value = X_hat * 2^(exp - frac_bits).
-  const PcsConfig geom = x.geometry();
-  WideUint<8> m = WideUint<8>(x.mant().to_binary()).sext(geom.mant_digits());
-  WideUint<8> xhat =
-      (m << geom.tail_digits()) + WideUint<8>(x.tail_assimilated());
-  if (xhat.is_zero()) return PFloat::zero(fmt, false);
+  // X_hat in a 512-bit two's complement workspace; a zero X_hat reads +0.
+  const WideUint<8> xhat =
+      (WideUint<8>(mant_bits).sext(mant_digits) << tail_digits) +
+      WideUint<8>(tail);
   const bool sign = xhat.bit(WideUint<8>::kBits - 1);
-  const WideUint<8> mag = sign ? -xhat : xhat;
-  return PFloat::normalize_round(fmt, sign, mag, x.exp() - geom.frac_bits(),
-                                 false, rm);
+  return PFloat::normalize_round(fmt, sign, sign ? -xhat : xhat, exp2, false,
+                                 rm);
 }
 
 }  // namespace csfma

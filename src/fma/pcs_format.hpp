@@ -62,10 +62,6 @@ class PcsOperand {
             tail_assimilated().is_zero());
   }
 
-  /// The mantissa's assimilated signed value (what the next multiplier's
-  /// pre-assimilation sees) — excludes the rounding tail.
-  CsWord mant_signed() const { return mant_.signed_value(); }
-
   /// Exact unsigned assimilation of the rounding tail (one digit wider than
   /// the block, unwrapped: the tail is a non-negative extension, its digit
   /// values just add).
@@ -116,5 +112,19 @@ PcsOperand ieee_to_pcs(const PFloat& x, const PcsConfig& geom = kPaperPcs);
 PFloat pcs_to_ieee(const PcsOperand& x, const FloatFormat& fmt, Round rm);
 
 // (kWideExact, the wide readout format, lives in fp/pfloat.hpp.)
+
+// ---- value rules shared by the carry-save formats (PCS and FCS): the
+// deferred half-away-from-zero decision (Sec. III-C/E) over a tail of
+// `tail_digits` digits and assimilated value `tail` (+1/0 to add), whether
+// it differs from IEEE nearest-even, and the operand's value ----
+int deferred_round_increment(const CsWord& tail, int tail_digits,
+                             bool negative);
+bool deferred_round_disagrees_ieee(const CsWord& tail, int tail_digits,
+                                   bool lsb, bool negative);
+/// The operand X̂ · 2^exp2 rounded to `fmt`, X̂ = signed(mant_bits mod
+/// 2^mant_digits) · 2^tail_digits + tail (or its exception class).
+PFloat cs_operand_value(FpClass cls, bool exc_sign, const CsWord& mant_bits,
+                        int mant_digits, const CsWord& tail, int tail_digits,
+                        int exp2, const FloatFormat& fmt, Round rm);
 
 }  // namespace csfma

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fma/pcs_fma.hpp"
@@ -123,6 +126,54 @@ TEST(DotProduct, TreeRowsScaleWithTerms) {
   int rows8 = unit.last_tree_stats().rows;
   EXPECT_EQ(rows4, 4);
   EXPECT_EQ(rows8, 8);
+}
+
+TEST(DotProduct, TinyFormatDotsMatchExactAccumulation) {
+  // 1- to 8-term dots of FloatFormat{3,2} values widened exactly to
+  // binary64: every encoding is drawn, zeros, infinities and NaNs
+  // included.  The oracle sums the exact products in kWideExact (exact for
+  // these inputs) as IEEE would, zero signs included, and rounds once.
+  // Class, sign, signed zero and value of the readout must match in both
+  // nearest modes.
+  constexpr FloatFormat kTiny{3, 2};
+  std::vector<PFloat> wide;
+  for (std::uint64_t bits = 0; bits < 64; ++bits)
+    wide.push_back(PFloat::from_bits(kTiny, U128(bits))
+                       .round_to(kBinary64, Round::NearestEven));
+  const Round modes[] = {Round::NearestEven, Round::HalfAwayFromZero};
+  Rng rng(174);
+  PcsDotProduct unit;
+  int mismatches = 0;
+  std::string first;
+  for (int draw = 0; draw < 200000; ++draw) {
+    const int n = (int)rng.next_int(1, 8);
+    std::vector<std::pair<PFloat, PFloat>> terms;
+    for (int i = 0; i < n; ++i)
+      terms.emplace_back(wide[rng.next_below(64)], wide[rng.next_below(64)]);
+    PFloat exact =
+        PFloat::mul(terms[0].first, terms[0].second, kWideExact,
+                    Round::NearestEven);
+    for (int i = 1; i < n; ++i)
+      exact = PFloat::fma(terms[i].first, terms[i].second, exact, kWideExact,
+                          Round::NearestEven);
+    const PcsOperand r = unit.dot(terms);
+    for (Round rm : modes) {
+      const PFloat got = pcs_to_ieee(r, kBinary64, rm);
+      const PFloat ref = exact.round_to(kBinary64, rm);
+      const bool same =
+          got.cls() == ref.cls() &&
+          (ref.is_nan() || (got.sign() == ref.sign() &&
+                            PFloat::same_value(got, ref)));
+      if (!same && ++mismatches == 1) {
+        std::ostringstream os;
+        for (const auto& [a, b] : terms)
+          os << a.to_string() << "*" << b.to_string() << " ";
+        os << "got " << got.to_string() << " want " << ref.to_string();
+        first = os.str();
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << first;
 }
 
 }  // namespace

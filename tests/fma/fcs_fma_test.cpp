@@ -5,8 +5,12 @@
 
 #include <cmath>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "fma/fma_unit.hpp"
 #include "fma/pcs_format.hpp"  // kWideExact
 
 namespace csfma {
@@ -200,6 +204,148 @@ TEST(FcsFma, ChainAccuracy) {
         std::fabs(b1.to_double() * te.to_double() / re.to_double());
     const double envelope = 0.55 + 0.25 * ratio;
     ASSERT_LE(err, envelope) << "chain error " << err << " ratio " << ratio;
+  }
+}
+
+// ---- exhaustive check against the pfloat softfloat oracle ----
+
+/// A 6-bit format (sign, 3 exponent bits, 2 fraction bits): every encoding
+/// as A, B and C (see PcsConfig.ExhaustiveTinyFormatMatchesPFloat).
+constexpr FloatFormat kTiny{3, 2};
+
+std::string describe(const PFloat& a, const PFloat& b, const PFloat& c) {
+  std::ostringstream os;
+  os << "a=" << a.to_string() << " b=" << b.to_string()
+     << " c=" << c.to_string();
+  return os.str();
+}
+
+TEST(FcsFma, ExhaustiveTinyFormatMatchesPFloat) {
+  // Every A and C encoding of kTiny enters through ieee_to_fcs; every B
+  // encoding is widened exactly to binary64.  On each of the 64^3 triples,
+  // in both select modes:
+  //   * a normal result's exact value is the exact fused result minus the
+  //     digits the block mux drops below the tail block, each below one
+  //     tail ulp u = 2^(exp - kFracBits): 0 <= exact - value < 2u;
+  //   * IEEE class, sign and signed zero of the binary64 readout equal
+  //     PFloat::fma's in both nearest modes, and the readout is
+  //     value-exact.
+  // The one exception is the total-cancellation loss the paper accepts
+  // for early LZA (Sec. III-G; CancellationTruncatesGracefully): on an
+  // exact x + (-x) = 0 the anticipated window can keep a redundant
+  // residue of about one tail ulp.  Exactly 756 readouts do so (378
+  // triples, each in both nearest modes); each residue must sit at least
+  // 100 bits below |b*c|.  The zero detector, which looks at
+  // the result itself, matches on every triple.  Both the one-lane fma
+  // and fma_ieee_batch are checked.
+  std::vector<PFloat> tiny, wide;
+  for (std::uint64_t bits = 0; bits < 64; ++bits) {
+    tiny.push_back(PFloat::from_bits(kTiny, U128(bits)));
+    wide.push_back(tiny.back().round_to(kBinary64, Round::NearestEven));
+  }
+  const Round modes[] = {Round::NearestEven, Round::HalfAwayFromZero};
+  std::vector<OperandTriple> ops;
+  std::vector<PFloat> refs[2];
+  for (const PFloat& a : tiny) {
+    for (const PFloat& c : tiny) {
+      for (const PFloat& b : wide) {
+        ops.push_back({a, b, c});
+        for (int m = 0; m < 2; ++m)
+          refs[m].push_back(PFloat::fma(b, c, a, kBinary64, modes[m]));
+      }
+    }
+  }
+  const PFloat two_m100 = PFloat::from_double(kBinary64, 0x1p-100);
+  for (FcsSelect sel : {FcsSelect::EarlyLza, FcsSelect::ZeroDetect}) {
+    const bool lza = sel == FcsSelect::EarlyLza;
+    SCOPED_TRACE(lza ? "early LZA" : "zero detect");
+    FcsFma unit(nullptr, sel);
+    // residues counts fma-path readouts (triple x nearest mode).
+    int class_or_sign = 0, bound = 0, readout = 0, residues = 0;
+    std::string first;
+    auto fail = [&](int& count, const std::string& what) {
+      ++count;
+      if (first.empty()) first = what;
+    };
+    // Is `got` (a readout of the fma result `r`) the accepted residue of
+    // an exact cancellation?  Only under early LZA.
+    auto accepted_residue = [&](const FcsOperand& r, const PFloat& ref,
+                                const OperandTriple& t) {
+      if (!lza || !ref.is_zero() || r.cls() != FpClass::Normal) return false;
+      const PFloat prod =
+          PFloat::mul(t.b, t.c, kWideExact, Round::NearestEven);
+      if (prod.is_zero()) return false;
+      const PFloat limit =
+          PFloat::mul(prod.abs(), two_m100, kWideExact, Round::NearestEven);
+      const PFloat slack = PFloat::sub(limit, r.exact_value().abs(),
+                                       kWideExact, Round::NearestEven);
+      return !(slack.is_normal() && slack.sign());
+    };
+    // An empty string when `got` matches `ref`, else what differs.
+    auto differs = [&](const PFloat& got, const PFloat& ref) -> std::string {
+      if (got.cls() != ref.cls() ||
+          (!ref.is_nan() && got.sign() != ref.sign()))
+        return " class/sign got " + got.to_string() + " want " +
+               ref.to_string();
+      if (!ref.is_nan() && !PFloat::same_value(got, ref)) return " readout";
+      return "";
+    };
+    auto check = [&](const std::string& diff, const OperandTriple& t,
+                     const char* path) {
+      if (!diff.empty())
+        fail(diff[1] == 'c' ? class_or_sign : readout,
+             path + diff + " " + describe(t.a, t.b, t.c));
+    };
+    std::vector<bool> residue(ops.size(), false);
+    std::size_t idx = 0;
+    for (const PFloat& a : tiny) {
+      const FcsOperand fa = ieee_to_fcs(a);
+      for (const PFloat& c : tiny) {
+        const FcsOperand fc = ieee_to_fcs(c);
+        for (const PFloat& b : wide) {
+          const std::size_t k = idx++;
+          const FcsOperand r = unit.fma(fa, b, fc);
+          if (r.cls() == FpClass::Normal) {
+            // Exact in kWideExact: the inputs carry 3 significant bits.
+            const PFloat exact =
+                PFloat::fma(b, c, a, kWideExact, Round::NearestEven);
+            const PFloat d = PFloat::sub(exact, r.exact_value(), kWideExact,
+                                         Round::NearestEven);
+            const PFloat two_u = PFloat::make_normal(
+                kWideExact, false, r.exp() - FcsGeometry::kFracBits + 1,
+                U128::bit_at(kWideExact.frac_bits));
+            const PFloat slack =
+                PFloat::sub(two_u, d, kWideExact, Round::NearestEven);
+            if (d.sign() || !slack.is_normal() || slack.sign())
+              fail(bound, "bound " + describe(a, b, c));
+          }
+          for (int m = 0; m < 2; ++m) {
+            const std::string diff =
+                differs(fcs_to_ieee(r, kBinary64, modes[m]), refs[m][k]);
+            if (!diff.empty() && accepted_residue(r, refs[m][k], ops[k])) {
+              ++residues;
+              residue[k] = true;
+            } else {
+              check(diff, ops[k], "fma");
+            }
+          }
+        }
+      }
+    }
+    // The same triples through the bit-sliced batch path.
+    std::vector<PFloat> out(ops.size());
+    for (int m = 0; m < 2; ++m) {
+      FmaBatchHooks hooks;
+      hooks.rm = modes[m];
+      unit.fma_ieee_batch(ops.data(), ops.size(), out.data(), hooks);
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        if (!residue[k]) check(differs(out[k], refs[m][k]), ops[k], "batch");
+      }
+    }
+    EXPECT_EQ(class_or_sign, 0) << first;
+    EXPECT_EQ(bound, 0) << first;
+    EXPECT_EQ(readout, 0) << first;
+    EXPECT_EQ(residues, lza ? 756 : 0);
   }
 }
 
